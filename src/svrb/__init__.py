@@ -1,13 +1,6 @@
 """Stein variational sampling with adaptive reduced-basis surrogates
 for PDE-constrained Bayesian inverse problems."""
 
-import os as _os
-
-# thread-count override; must be in place before the BLAS pools initialize
-if _os.environ.get("SVRB_NUM_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["SVRB_NUM_THREADS"])
-
 from .adaptive import AdaptiveConfig, greedy_sweep, initialize, run_svrb, tolerance_update
 from .backends import GaussianBackend, HiFiBackend, RBBackend
 from .cases import (

@@ -80,8 +80,7 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=500, stagnation_drop=0.1
     last_selected = {}  # theta bytes -> indicator when last selected
 
     def indicator_at(theta):
-        _, _, u_r, psi_r = rm.potential(problem, theta)
-        return abs(rm.dwr(problem, theta, u_r, psi_r))
+        return abs(rm._solve_online(problem, theta).delta)
 
     while True:
         vals = np.array([

@@ -15,9 +15,8 @@ are the reference outputs plus one draw of that noise (seeded).
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from . import fem
+from . import fem, hifi
 from .fem import ConfigurationError
 
 
@@ -128,7 +127,6 @@ class CaseConfig:
     noise_seed: int = 20314
     data_noise: bool = True
     coercivity_floor: float = 1e-8
-    solver: str = "direct"
 
 
 def uniform4_case(n, **overrides):
@@ -326,12 +324,11 @@ def assemble_problem(case):
         theta_ref=theta_ref,
         theta_data=theta_data,
         noise_seed=case.noise_seed,
-        solver=case.solver,
     )
 
     # Synthetic data: noise level from the reference solve, observations from
     # the data-generating parameter plus one seeded noise draw.
-    u_ref = _direct_solve(problem, theta_ref)
+    u_ref = hifi.solve_state(problem, theta_ref)
     obs_ref = problem.observe(u_ref)
     if case.noise_sigma is not None:
         sigma = float(case.noise_sigma)
@@ -342,7 +339,7 @@ def assemble_problem(case):
     if np.array_equal(theta_data, theta_ref):
         obs_data = obs_ref
     else:
-        obs_data = problem.observe(_direct_solve(problem, theta_data))
+        obs_data = problem.observe(hifi.solve_state(problem, theta_data))
     xi = np.zeros_like(obs_data)
     if case.data_noise:
         xi = sigma * np.random.default_rng(case.noise_seed).standard_normal(obs_data.shape)
@@ -355,8 +352,3 @@ def assemble_problem(case):
 def _tri_areas(mesh):
     areas, _ = fem._tri_geometry(mesh)
     return areas
-
-
-def _direct_solve(problem, theta):
-    A, f = problem.operator(theta)
-    return spla.splu(A.tocsc()).solve(f)

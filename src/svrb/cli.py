@@ -15,9 +15,10 @@ import numpy as np
 from . import adaptive, errorlab, hifi
 from .backends import HiFiBackend, RBBackend
 from .cases import UnsupportedCoefficient, assemble_problem
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _validate
 from .fem import CoercivityLost, ConfigurationError, SolveFailed
 from .reduced import RBSolveFailed, ReducedModel
+from .runlog import RunLog
 from .svgd import SVGDConfig, svgd_run
 
 _NUMERICAL = (CoercivityLost, SolveFailed, RBSolveFailed, RuntimeError)
@@ -109,20 +110,8 @@ def cmd_analyze(run_dirs):
         if not os.path.isfile(cfg_path):
             raise ConfigError(f"{rundir} is not a run directory (missing config.json)")
         cfg = ExperimentConfig.from_json(cfg_path)
-        log_path = os.path.join(rundir, "runlog.jsonl")
-        records = []
-        with open(log_path) as fh:
-            lines = fh.read().splitlines()
-        for line in lines[1:]:
-            records.append(json.loads(line))
-        with open(os.path.join(rundir, "history.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["l", "t", "alpha", "eps_r", "n_state", "n_adjoint",
-                             "n_enriched", "clamped"])
-            for rec in records:
-                writer.writerow([rec["l"], rec["t"], rec["alpha"], rec["eps_r"],
-                                 rec["n_state"], rec["n_adjoint"],
-                                 rec["n_enriched"], rec["clamped"]])
+        log = RunLog.read_jsonl(os.path.join(rundir, "runlog.jsonl"))
+        log.write_history_csv(os.path.join(rundir, "history.csv"))
 
         particles, final_l = _read_final_particles(os.path.join(rundir, "particles.csv"))
         _write_scatter(rundir, particles, final_l)
@@ -290,6 +279,7 @@ def main(argv=None):
             return cmd_analyze(args.run_dirs)
         cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
         cfg = _apply_overrides(cfg, args)
+        _validate(cfg)  # flags bypass the check in from_dict
         if cfg.output_dir is None:
             cfg.output_dir = "runs/out"
         if args.command == "run":

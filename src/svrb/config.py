@@ -13,8 +13,7 @@ class ConfigError(ValueError):
 
 
 _CASE_KEYS = {"name", "n", "obs_grid", "noise_scale", "noise_sigma", "noise_seed",
-              "data_noise", "theta_ref", "theta_data", "coercivity_floor", "solver",
-              "module"}
+              "data_noise", "theta_ref", "theta_data", "coercivity_floor", "module"}
 _BACKEND_KEYS = {"kind", "tol", "eps0", "update_every", "rule", "eps_min", "max_basis"}
 _TOP_KEYS = {"schema_version", "case", "particles", "max_steps", "svgd_tol",
              "alpha_init", "max_backtracks", "seed", "backend", "output_dir",
@@ -131,10 +130,17 @@ def _load_custom_case(case):
 
 
 def _validate(cfg):
+    """Reject values no run can use; the CLI checks again after flag overrides."""
     if cfg.particles < 1:
         raise ConfigError("particles must be >= 1")
     if cfg.max_steps < 0:
         raise ConfigError("max_steps must be >= 0")
+    if cfg.svgd_tol < 0:
+        raise ConfigError("svgd_tol must be >= 0")
+    if cfg.backend.eps0 <= 0:
+        raise ConfigError("eps0 must be positive")
+    if cfg.backend.update_every is not None and cfg.backend.update_every < 1:
+        raise ConfigError("update_every must be >= 1")
     if cfg.backend.kind not in ("hifi", "rb-fixed", "rb-adaptive"):
         raise ConfigError(f"unknown backend kind {cfg.backend.kind!r}")
     if cfg.backend.rule not in ("normalized", "absolute"):

@@ -204,9 +204,8 @@ def true_errors(problem, rm, theta, with_gradients=True, constants=True):
     """High-fidelity vs reduced errors and residual norms at one parameter."""
     theta = np.asarray(theta, dtype=float)
     op = hifi.Factorization(problem, theta)
-    u_h = op.solve(op.f)
-    psi_h = op.solve(hifi.adjoint_rhs(problem, u_h), transpose=True)
-    eta_h = hifi.potential_of_state(problem, u_h)
+    h = hifi.evaluate(problem, theta, op)
+    u_h, psi_h, eta_h = h.u, h.psi, h.eta
     ev = rm.evaluate(problem, theta)
     u_r = rm.reconstruct(ev.u_r, "state")
     psi_r = rm.reconstruct(ev.psi_r, "adjoint")
@@ -227,7 +226,7 @@ def true_errors(problem, rm, theta, with_gradients=True, constants=True):
 
     du_r_full = dpsi_r_full = None
     if with_gradients:
-        grad_h = hifi.gradient_from_solutions(problem, theta, u_h, psi_h)
+        grad_h = h.grad_eta
         du_h, dpsi_h = hifi.solve_sensitivities(problem, theta, u_h, psi_h, op)
         du_r, dpsi_r = rb_sensitivities(rm, problem, theta, ev.u_r, ev.psi_r)
         du_r_full = du_r @ rm.basis_u.T
@@ -261,12 +260,6 @@ def true_errors(problem, rm, theta, with_gradients=True, constants=True):
     if constants:
         report.constants = bound_constants(problem, theta)
     return report
-
-
-def residual_dual_norms(problem, rm, theta):
-    """Dual norms of the state/adjoint residuals and their derivatives."""
-    report = true_errors(problem, rm, theta, with_gradients=True, constants=False)
-    return report.res_u_dual, report.res_psi_dual, report.res_u_j_dual, report.res_psi_j_dual
 
 
 def verify_bounds(problem, rm, theta, constants=None, report=None):
@@ -433,12 +426,7 @@ def error_decay_study(problem, snapshots, eval_thetas):
     from .reduced import ReducedModel
 
     eval_thetas = np.atleast_2d(eval_thetas)
-    refs = []
-    for theta in eval_thetas:
-        op = hifi.Factorization(problem, theta)
-        u_h = op.solve(op.f)
-        psi_h = op.solve(hifi.adjoint_rhs(problem, u_h), transpose=True)
-        refs.append((u_h, psi_h, hifi.potential_of_state(problem, u_h)))
+    refs = [hifi.evaluate(problem, theta) for theta in eval_thetas]
 
     rm = ReducedModel.empty(problem)
     rows = []
@@ -446,14 +434,14 @@ def error_decay_study(problem, snapshots, eval_thetas):
         ev_snap = hifi.evaluate(problem, theta_snap)
         rm.enrich(problem, ev_snap.u, ev_snap.psi, theta_snap)
         e_eta, e_delta, dwr_abs, bound_eta, bound_delta = [], [], [], [], []
-        for theta, (u_h, psi_h, eta_h) in zip(eval_thetas, refs):
+        for theta, h in zip(eval_thetas, refs):
             ev = rm.evaluate(problem, theta)
             u_r = rm.reconstruct(ev.u_r, "state")
             psi_r = rm.reconstruct(ev.psi_r, "adjoint")
-            e_u = problem.v_norm(u_h - u_r)
-            e_psi = problem.v_norm(psi_h - psi_r)
-            e_eta.append(abs(eta_h - ev.eta_r))
-            e_delta.append(abs(eta_h - ev.eta_delta))
+            e_u = problem.v_norm(h.u - u_r)
+            e_psi = problem.v_norm(h.psi - psi_r)
+            e_eta.append(abs(h.eta - ev.eta_r))
+            e_delta.append(abs(h.eta - ev.eta_delta))
             dwr_abs.append(abs(ev.delta))
             bound_eta.append(e_u)
             bound_delta.append(e_u * e_psi)

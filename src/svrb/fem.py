@@ -83,7 +83,7 @@ class MeshGrid:
 def build_mesh(n):
     """Build the uniform criss-cross mesh with ``n`` cells per side."""
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise ConfigurationError("n must be a positive integer")
     side = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(side, side)  # row-major: y varies along axis 0
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
@@ -239,7 +239,6 @@ class AffineParametricProblem:
     theta_ref: np.ndarray = field(repr=False)
     theta_data: np.ndarray = field(repr=False)
     noise_seed: int
-    solver: str = "direct"
 
     def __post_init__(self):
         self._gram_lu = None
@@ -391,9 +390,6 @@ class AffineParametricProblem:
         full = np.zeros(self.n_dofs_raw)
         full[self.free_dofs] = v_free
         return full
-
-    def restrict(self, v_full):
-        return np.asarray(v_full)[self.free_dofs]
 
     # -- observation ------------------------------------------------------
 

@@ -1,12 +1,14 @@
 """High-fidelity state/adjoint solves, potential, gradient, sensitivities.
 
 One sparse factorization per parameter value serves the state solve, the
-adjoint solve, and all ``2d`` parameter-sensitivity solves.  The operator
-here is symmetric, but adjoint solves are routed through a transpose-solve
-entry point so a non-symmetric extension stays correct.
+adjoint solve, and all ``2d`` parameter-sensitivity solves.  :func:`evaluate`
+is the one state-then-adjoint sequence: callers read the adjoint and the
+gradient from its result.  :func:`solve_state` and :func:`potential` need
+only the state.  The operator here is symmetric, but adjoint solves are
+routed through a transpose-solve entry point so a non-symmetric extension
+stays correct.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,13 +25,7 @@ class Factorization:
     def __init__(self, problem, theta):
         self.theta = np.asarray(theta, dtype=float)
         self.A, self.f = problem.operator(theta)
-        t0 = time.perf_counter()
-        if problem.solver == "cg":
-            self._lu = None
-            self._diag = self.A.diagonal()
-        else:
-            self._lu = spla.splu(self.A.tocsc())
-        self.factor_seconds = time.perf_counter() - t0
+        self._lu = spla.splu(self.A.tocsc())
         self.n_solves = 0
 
     def _check(self, x, b, transpose):
@@ -42,13 +38,7 @@ class Factorization:
             )
 
     def solve(self, b, transpose=False):
-        if self._lu is not None:
-            x = self._lu.solve(b, trans="T" if transpose else "N")
-        else:
-            M = spla.LinearOperator(self.A.shape, matvec=lambda v: v / self._diag)
-            x, info = spla.cg(self.A.T if transpose else self.A, b, rtol=1e-12, atol=0.0, M=M)
-            if info != 0:
-                raise SolveFailed(f"conjugate gradient did not converge (info={info})")
+        x = self._lu.solve(b, trans="T" if transpose else "N")
         self._check(x, b, transpose)
         self.n_solves += 1
         return x
@@ -64,7 +54,6 @@ class HiFiEvaluation:
     eta: float = 0.0
     grad_eta: np.ndarray = None
     factorization_reused: bool = False
-    solve_seconds: float = 0.0
 
 
 def solve_state(problem, theta, op=None):
@@ -79,12 +68,6 @@ def adjoint_rhs(problem, u):
     return problem.obs_matrix @ problem.misfit_weighted(residual)
 
 
-def solve_adjoint(problem, theta, u, op=None):
-    """Solve the adjoint problem given the state at the same ``theta``."""
-    op = op or Factorization(problem, theta)
-    return op.solve(adjoint_rhs(problem, u), transpose=True)
-
-
 def potential_of_state(problem, u):
     """Noise-weighted half squared misfit of a state vector."""
     residual = problem.y - problem.observe(u)
@@ -93,8 +76,7 @@ def potential_of_state(problem, u):
 
 def potential(problem, theta, op=None):
     """Potential (negative log-likelihood) at ``theta``; returns ``(eta, u)``."""
-    op = op or Factorization(problem, theta)
-    u = op.solve(op.f)
+    u = solve_state(problem, theta, op)
     return potential_of_state(problem, u), u
 
 
@@ -108,14 +90,6 @@ def gradient_from_solutions(problem, theta, u, psi):
     a_terms = np.array([psi @ (blk @ u) for blk in problem.A_blocks])
     f_terms = np.array([psi @ vec for vec in problem.f_blocks])
     return dcA.T @ a_terms - dcF.T @ f_terms
-
-
-def grad_potential(problem, theta, op=None):
-    """Potential gradient at ``theta``; returns ``(grad, u, psi)``."""
-    op = op or Factorization(problem, theta)
-    u = op.solve(op.f)
-    psi = op.solve(adjoint_rhs(problem, u), transpose=True)
-    return gradient_from_solutions(problem, theta, u, psi), u, psi
 
 
 def solve_sensitivities(problem, theta, u, psi, op=None):
@@ -144,20 +118,20 @@ def solve_sensitivities(problem, theta, u, psi, op=None):
 
 
 def evaluate(problem, theta, op=None):
-    """Full evaluation (state, adjoint, potential, gradient) at ``theta``."""
-    t0 = time.perf_counter()
+    """Full evaluation (state, adjoint, potential, gradient) at ``theta``.
+
+    Pass ``op`` to reuse a factorization at the same ``theta``, e.g. for
+    :func:`solve_sensitivities` afterwards.
+    """
     reused = op is not None
     op = op or Factorization(problem, theta)
     u = op.solve(op.f)
     psi = op.solve(adjoint_rhs(problem, u), transpose=True)
-    eta = potential_of_state(problem, u)
-    grad = gradient_from_solutions(problem, theta, u, psi)
     return HiFiEvaluation(
         theta=np.asarray(theta, dtype=float),
         u=u,
         psi=psi,
-        eta=eta,
-        grad_eta=grad,
+        eta=potential_of_state(problem, u),
+        grad_eta=gradient_from_solutions(problem, theta, u, psi),
         factorization_reused=reused,
-        solve_seconds=time.perf_counter() - t0,
     )

@@ -8,6 +8,11 @@ evaluation -- reduced state, reduced adjoint, the dual-weighted residual,
 the corrected potential, incremental solves, and both gradients -- costs
 work independent of the high-fidelity dimension.
 
+One online pass per parameter assembles the reduced operators once and
+yields the reduced state and adjoint, the plain potential and the
+dual-weighted residual; :meth:`ReducedModel.potential`,
+:meth:`ReducedModel.evaluate` and the greedy indicator all read from it.
+
 Conventions: reduced matrices follow the Galerkin layout ``B[m, n] =
 A(basis_n, basis_m)``; the cross block maps state coefficients to adjoint
 test functions, ``C[m, n] = A(state_n, adjoint_m)``.
@@ -15,12 +20,24 @@ test functions, ``C[m, n] = A(state_n, adjoint_m)``.
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 
 class RBSolveFailed(RuntimeError):
     """The reduced dense system is singular or empty."""
+
+
+class _Online(NamedTuple):
+    """Quantities every online evaluation at one parameter shares."""
+
+    coeffs: tuple   # (cA, cF, dcA, dcF) from ``eval_coefficients``
+    ops: tuple      # (Au, Ap, Aup, fu, fp) assembled at the parameter
+    u_r: np.ndarray
+    psi_r: np.ndarray
+    eta_r: float
+    delta: float    # dual-weighted residual, the greedy indicator up to sign
 
 
 @dataclass
@@ -109,64 +126,56 @@ class ReducedModel:
         row/column without any full recomputation.  Returns
         ``(state_added, adjoint_added)``.
         """
-        added_u = added_p = False
-        v = self._orthogonalize(problem, u_h, self.basis_u)
-        if v is not None:
-            self._append_state(problem, v)
-            added_u = True
-        else:
-            self.deflated.append(("state", np.asarray(theta, dtype=float)))
-        w = self._orthogonalize(problem, psi_h, self.basis_psi)
-        if w is not None:
-            self._append_adjoint(problem, w)
-            added_p = True
-        else:
-            self.deflated.append(("adjoint", np.asarray(theta, dtype=float)))
-        self.provenance.append(np.asarray(theta, dtype=float).copy())
-        return added_u, added_p
+        theta = np.asarray(theta, dtype=float)
+        added = []
+        for which, snapshot in (("state", u_h), ("adjoint", psi_h)):
+            v = self._orthogonalize(problem, snapshot,
+                                    self.basis_u if which == "state" else self.basis_psi)
+            if v is None:
+                self.deflated.append((which, theta))
+            else:
+                self._append(problem, v, which)
+            added.append(v is not None)
+        self.provenance.append(theta.copy())
+        return tuple(added)
 
-    def _append_state(self, problem, v):
-        old = self.basis_u
-        nu = old.shape[1]
+    def _append(self, problem, v, which):
+        """Append the orthonormalized ``v`` to the ``which`` basis.
+
+        Its own Galerkin block gains a row and a column and its load and
+        observation projections one entry each; the cross block gains a
+        column for a new state vector and a row for a new adjoint vector.
+        """
+        state = which == "state"
+        old, other = (self.basis_u, self.basis_psi) if state else (self.basis_psi, self.basis_u)
+        k = old.shape[1]
         Av = [blk @ v for blk in problem.A_blocks]
         Atv = [blk.T @ v for blk in problem.A_blocks]
-        Au_new = np.zeros((len(Av), nu + 1, nu + 1))
-        Aup_new = np.zeros((len(Av), self.n_adjoint, nu + 1))
+        own = np.zeros((len(Av), k + 1, k + 1))
+        own[:, :k, :k] = self.Au if state else self.Ap
         for j in range(len(Av)):
-            Au_new[j, :nu, :nu] = self.Au[j]
-            Au_new[j, :nu, nu] = old.T @ Av[j]       # column: A(v, old_m)
-            Au_new[j, nu, :nu] = old.T @ Atv[j]      # row: A(old_n, v)
-            Au_new[j, nu, nu] = v @ Av[j]
-            Aup_new[j, :, :nu] = self.Aup[j]
-            Aup_new[j, :, nu] = self.basis_psi.T @ Av[j]
-        self.Au, self.Aup = Au_new, Aup_new
-        self.fu = np.column_stack([self.fu, [vec @ v for vec in problem.f_blocks]])
-        self.Ou = np.vstack([self.Ou, problem.obs_matrix.T @ v])
-        self.basis_u = np.column_stack([old, v])
+            own[j, :k, k] = old.T @ Av[j]       # column: A(v, old_m)
+            own[j, k, :k] = old.T @ Atv[j]      # row: A(old_n, v)
+            own[j, k, k] = v @ Av[j]
+        # A(v, adjoint_m) for a new state vector, A(state_n, v) for a new adjoint one
+        cross = np.stack([other.T @ a for a in (Av if state else Atv)])
+        grown = (
+            np.column_stack([old, v]),
+            own,
+            np.column_stack([self.fu if state else self.fp, [vec @ v for vec in problem.f_blocks]]),
+            np.vstack([self.Ou if state else self.Op, problem.obs_matrix.T @ v]),
+        )
+        if state:
+            self.basis_u, self.Au, self.fu, self.Ou = grown
+            self.Aup = np.concatenate([self.Aup, cross[:, :, None]], axis=2)
+        else:
+            self.basis_psi, self.Ap, self.fp, self.Op = grown
+            self.Aup = np.concatenate([self.Aup, cross[:, None, :]], axis=1)
 
-    def _append_adjoint(self, problem, w):
-        old = self.basis_psi
-        np_ = old.shape[1]
-        Aw = [blk @ w for blk in problem.A_blocks]
-        Atw = [blk.T @ w for blk in problem.A_blocks]
-        Ap_new = np.zeros((len(Aw), np_ + 1, np_ + 1))
-        Aup_new = np.zeros((len(Aw), np_ + 1, self.n_state))
-        for j in range(len(Aw)):
-            Ap_new[j, :np_, :np_] = self.Ap[j]
-            Ap_new[j, :np_, np_] = old.T @ Aw[j]
-            Ap_new[j, np_, :np_] = old.T @ Atw[j]
-            Ap_new[j, np_, np_] = w @ Aw[j]
-            Aup_new[j, :np_, :] = self.Aup[j]
-            Aup_new[j, np_, :] = self.basis_u.T @ Atw[j]  # A(state_n, w)
-        self.Ap, self.Aup = Ap_new, Aup_new
-        self.fp = np.column_stack([self.fp, [vec @ w for vec in problem.f_blocks]])
-        self.Op = np.vstack([self.Op, problem.obs_matrix.T @ w])
-        self.basis_psi = np.column_stack([old, w])
+    # -- online evaluation ---------------------------------------------------
 
-    # -- online assembly ---------------------------------------------------
-
-    def _online_operators(self, problem, theta):
-        cA, cF, _, _ = problem.eval_coefficients(theta)
+    def _online_operators(self, problem, theta, coeffs=None):
+        cA, cF, _, _ = coeffs or problem.eval_coefficients(theta)
         Au = np.tensordot(cA, self.Au, axes=1)
         Ap = np.tensordot(cA, self.Ap, axes=1)
         Aup = np.tensordot(cA, self.Aup, axes=1)
@@ -200,18 +209,27 @@ class ReducedModel:
         _, _, Aup, _, fp = operators or self._online_operators(problem, theta)
         return float(psi_r @ (Aup @ u_r) - psi_r @ fp)
 
-    def potential(self, problem, theta, operators=None):
-        """Plain and corrected reduced potentials.
-
-        Returns ``(eta_r, eta_delta, u_r, psi_r)``.
+    def _solve_online(self, problem, theta):
+        """Coefficients, operators, reduced state and adjoint, plain
+        potential and dual-weighted residual at ``theta``: the one sequence
+        behind :meth:`potential`, :meth:`evaluate` and the greedy indicator.
         """
-        ops = operators or self._online_operators(problem, theta)
+        coeffs = problem.eval_coefficients(theta)
+        ops = self._online_operators(problem, theta, coeffs)
         u_r = self.solve_state(problem, theta, ops)
         psi_r = self.solve_adjoint(problem, theta, u_r, ops)
         residual = problem.y - self.Ou.T @ u_r
         eta_r = 0.5 * float(residual @ problem.misfit_weighted(residual))
         delta = self.dwr(problem, theta, u_r, psi_r, ops)
-        return eta_r, eta_r + delta, u_r, psi_r
+        return _Online(coeffs, ops, u_r, psi_r, eta_r, delta)
+
+    def potential(self, problem, theta):
+        """Plain and corrected reduced potentials.
+
+        Returns ``(eta_r, eta_delta, u_r, psi_r)``.
+        """
+        on = self._solve_online(problem, theta)
+        return on.eta_r, on.eta_r + on.delta, on.u_r, on.psi_r
 
     def incrementals(self, problem, theta, u_r, psi_r, operators=None):
         """Incremental adjoint and state solves for the corrected gradient.
@@ -232,44 +250,35 @@ class ReducedModel:
         u_hat = self._dense_solve(Au.T, rhs, "incremental state")
         return psi_hat, u_hat
 
-    def grad_potential(self, problem, theta, u_r, psi_r, psi_hat=None, u_hat=None):
-        """Gradients of the plain and corrected reduced potentials.
-
-        Returns ``(grad_eta_r, grad_eta_delta)``; the incremental solutions
-        are computed on demand when not supplied.
-        """
-        cA, cF, dcA, dcF = problem.eval_coefficients(theta)
-        if psi_hat is None or u_hat is None:
-            psi_hat, u_hat = self.incrementals(problem, theta, u_r, psi_r)
-        cross = np.array([psi_r @ (self.Aup[j] @ u_r) for j in range(len(cA))])
-        load_p = np.array([psi_r @ self.fp[k] for k in range(len(cF))])
-        grad_r = dcA.T @ cross - dcF.T @ load_p
-        corr_state = np.array([u_hat @ (self.Au[j] @ u_r) for j in range(len(cA))])
-        corr_load = np.array([u_hat @ self.fu[k] for k in range(len(cF))])
-        corr_adj = np.array([psi_r @ (self.Ap[j] @ psi_hat) for j in range(len(cA))])
-        grad_delta = grad_r + dcA.T @ (corr_state + corr_adj) - dcF.T @ corr_load
-        return grad_r, grad_delta
-
     def evaluate(self, problem, theta):
-        """All online quantities at ``theta`` in one pass."""
+        """All online quantities at ``theta`` in one pass.
+
+        The gradients of the plain and the corrected reduced potentials
+        follow from the reduced state and adjoint and the incremental
+        solutions.
+        """
         theta = np.asarray(theta, dtype=float)
-        ops = self._online_operators(problem, theta)
-        u_r = self.solve_state(problem, theta, ops)
-        psi_r = self.solve_adjoint(problem, theta, u_r, ops)
-        residual = problem.y - self.Ou.T @ u_r
-        eta_r = 0.5 * float(residual @ problem.misfit_weighted(residual))
-        delta = self.dwr(problem, theta, u_r, psi_r, ops)
-        psi_hat, u_hat = self.incrementals(problem, theta, u_r, psi_r, ops)
-        grad_r, grad_delta = self.grad_potential(problem, theta, u_r, psi_r, psi_hat, u_hat)
+        on = self._solve_online(problem, theta)
+        u_r, psi_r = on.u_r, on.psi_r
+        _, _, dcA, dcF = on.coeffs
+        psi_hat, u_hat = self.incrementals(problem, theta, u_r, psi_r, on.ops)
+        J_A, J_F = len(self.Au), len(self.fu)
+        cross = np.array([psi_r @ (self.Aup[j] @ u_r) for j in range(J_A)])
+        load_p = np.array([psi_r @ self.fp[k] for k in range(J_F)])
+        grad_r = dcA.T @ cross - dcF.T @ load_p
+        corr_state = np.array([u_hat @ (self.Au[j] @ u_r) for j in range(J_A)])
+        corr_load = np.array([u_hat @ self.fu[k] for k in range(J_F)])
+        corr_adj = np.array([psi_r @ (self.Ap[j] @ psi_hat) for j in range(J_A)])
+        grad_delta = grad_r + dcA.T @ (corr_state + corr_adj) - dcF.T @ corr_load
         return RBEvaluation(
             theta=theta,
             u_r=u_r,
             psi_r=psi_r,
             u_hat=u_hat,
             psi_hat=psi_hat,
-            eta_r=eta_r,
-            delta=delta,
-            eta_delta=eta_r + delta,
+            eta_r=on.eta_r,
+            delta=on.delta,
+            eta_delta=on.eta_r + on.delta,
             grad_eta_r=grad_r,
             grad_eta_delta=grad_delta,
         )

@@ -55,10 +55,16 @@ class RunLog:
     def alphas(self):
         return [r.alpha for r in self.records]
 
-    def final_particles(self):
-        return self.snapshots[-1][1]
-
     # -- persistence ------------------------------------------------------
+
+    @classmethod
+    def read_jsonl(cls, path):
+        """Meta and iteration records of a log written by :meth:`write_jsonl`."""
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        log = cls(json.loads(lines[0])["meta"])
+        log.records = [IterationRecord(**json.loads(line)) for line in lines[1:]]
+        return log
 
     def write_jsonl(self, path):
         with open(path, "w") as fh:

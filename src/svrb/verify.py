@@ -55,7 +55,7 @@ def build_small_rb(problem, rng, n_snapshots=5):
 def check_hifi_gradient(problem, thetas, rtol=1e-5):
     worst = 0.0
     for theta in thetas:
-        grad, _, _ = hifi.grad_potential(problem, theta)
+        grad = hifi.evaluate(problem, theta).grad_eta
         fd = fd_gradient(lambda t: hifi.potential(problem, t)[0], theta)
         worst = max(worst, max_rel_componentwise(fd, grad))
     return worst < rtol, worst
@@ -79,14 +79,12 @@ def dwr_identity_gap(problem, rm, theta):
     exact quadratic expansion.
     """
     ev = rm.evaluate(problem, theta)
-    op = hifi.Factorization(problem, theta)
-    u_h = op.solve(op.f)
-    psi_h = op.solve(hifi.adjoint_rhs(problem, u_h), transpose=True)
-    eta_h = hifi.potential_of_state(problem, u_h)
+    h = hifi.evaluate(problem, theta)
+    eta_h = h.eta
     u_r = rm.reconstruct(ev.u_r, "state")
     psi_r = rm.reconstruct(ev.psi_r, "adjoint")
-    e_u = u_h - u_r
-    e_psi = psi_h - psi_r
+    e_u = h.u - u_r
+    e_psi = h.psi - psi_r
     A, _ = problem.operator(theta, check=False)
 
     paired = -float(psi_r @ (A @ e_u))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from svrb import adaptive, hifi
 from svrb.cases import (
     AffineTerm,
     UniformBox,
@@ -10,28 +9,7 @@ from svrb.cases import (
     gaussian9_case,
     uniform4_case,
 )
-from svrb.fem import CoercivityLost
-
-
-def draw_coercive(problem, rng, count):
-    out = []
-    while len(out) < count:
-        theta = problem.prior.sample(rng, 1)[0]
-        try:
-            problem.check_coercive(theta)
-        except CoercivityLost:
-            continue
-        out.append(theta)
-    return np.array(out)
-
-
-def small_rb(problem, rng, n_snapshots=5):
-    thetas = draw_coercive(problem, rng, n_snapshots)
-    rm = adaptive.initialize(problem, thetas[0])
-    for theta in thetas[1:]:
-        ev = hifi.evaluate(problem, theta)
-        rm.enrich(problem, ev.u, ev.psi, theta)
-    return rm
+from svrb.verify import build_small_rb
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +42,7 @@ def constant_problem():
 
 @pytest.fixture(scope="session")
 def rb_uniform4_16(uniform4_16):
-    return small_rb(uniform4_16, np.random.default_rng(11), 5)
+    return build_small_rb(uniform4_16, np.random.default_rng(11), 5)
 
 
 def manufactured_case(n):

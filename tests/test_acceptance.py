@@ -57,7 +57,7 @@ def test_criterion_1_gradient_correctness(problems_16):
         thetas = draw_coercive(problem, rng, 10)
         rm = build_small_rb(problem, rng, 6)
         for theta in thetas:
-            grad, _, _ = hifi.grad_potential(problem, theta)
+            grad = hifi.evaluate(problem, theta).grad_eta
             fd = fd_gradient(lambda t: hifi.potential(problem, t)[0], theta)
             worst = max(worst, max_rel_componentwise(fd, grad))
             ev = rm.evaluate(problem, theta)

@@ -12,8 +12,7 @@ from svrb.adaptive import (
 from svrb.backends import RBBackend
 from svrb.cases import assemble_problem, uniform4_case
 from svrb.svgd import SVGDConfig, draw_prior, svgd_run
-
-from conftest import draw_coercive
+from svrb.verify import draw_coercive
 
 
 class TestInitialize:

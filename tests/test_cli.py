@@ -36,8 +36,9 @@ class TestConfig:
             ExperimentConfig.from_dict({"particless": 3})
 
     def test_unknown_case_key(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"case": {"name": "uniform4", "nn": 8}})
+        for case in ({"name": "uniform4", "nn": 8}, {"solver": "cg"}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict({"case": case})
 
     def test_unknown_backend_key(self):
         with pytest.raises(ConfigError):
@@ -119,6 +120,20 @@ class TestRun:
         assert stored["particles"] == 3
         assert stored["seed"] == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--particles", "0"],
+        ["--svgd-tol", "-1"],
+        ["--eps0", "-1"],
+        ["--K", "0"],
+        ["--mesh", "0"],
+    ], ids=["particles", "svgd-tol", "eps0", "K", "mesh"])
+    def test_bad_flag_values_are_config_errors(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path / "c.json",
+                           backend={"kind": "rb-adaptive", "eps0": 0.1, "update_every": 2})
+        assert main(["run", "--config", str(cfg)] + flags) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dump_matrices(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", max_steps=0, dump_matrices=True)
         assert main(["run", "--config", str(cfg)]) == 0
@@ -193,8 +208,10 @@ class TestAnalyze:
         )
         assert main(["run", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
+        written = (out / "history.csv").read_bytes()
+        (out / "history.csv").unlink()
         assert main(["analyze", str(out)]) == 0
-        assert (out / "history.csv").is_file()
+        assert (out / "history.csv").read_bytes() == written  # rebuilt from runlog.jsonl
         assert (out / "scatter.csv").is_file()
         with open(out / "decay.csv") as fh:
             rows = list(csv.DictReader(fh))

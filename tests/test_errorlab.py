@@ -18,8 +18,7 @@ from svrb.errorlab import (
 )
 from svrb.fem import CoercivityLost
 from svrb.svgd import draw_prior
-
-from conftest import draw_coercive
+from svrb.verify import draw_coercive
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,9 @@ import pytest
 from svrb import hifi
 from svrb.cases import assemble_problem, uniform4_case
 from svrb.fem import SolveFailed
+from svrb.verify import draw_coercive
 
-from conftest import draw_coercive, manufactured_case
+from conftest import manufactured_case
 
 
 def fd_gradient(fun, theta, step=1e-5):
@@ -42,14 +43,6 @@ class TestStateSolve:
         with pytest.raises(SolveFailed):
             op.solve(op.f)
 
-    def test_cg_solver_matches_direct(self):
-        p_direct = assemble_problem(uniform4_case(8))
-        p_cg = assemble_problem(uniform4_case(8, solver="cg"))
-        theta = 0.5 * np.ones(4)
-        u1 = hifi.solve_state(p_direct, theta)
-        u2 = hifi.solve_state(p_cg, theta)
-        assert np.linalg.norm(u1 - u2) <= 1e-8 * np.linalg.norm(u1)
-
 
 class TestAdjoint:
     def test_zero_misfit_gives_zero_adjoint(self, uniform4_8):
@@ -57,7 +50,7 @@ class TestAdjoint:
         theta = p.theta_ref
         u = hifi.solve_state(p, theta)
         exact = dataclasses.replace(p, y=p.observe(u))
-        psi = hifi.solve_adjoint(exact, theta, u)
+        psi = hifi.evaluate(exact, theta).psi
         assert np.allclose(psi, 0.0)
 
     def test_dense_oracle(self, uniform4_8):
@@ -72,10 +65,9 @@ class TestAdjoint:
     def test_linearity_in_noise_precision(self, uniform4_8):
         p = uniform4_8
         theta = p.theta_ref
-        u = hifi.solve_state(p, theta)
-        psi = hifi.solve_adjoint(p, theta, u)
+        psi = hifi.evaluate(p, theta).psi
         scaled = dataclasses.replace(p, noise_precision=4.0 * p.noise_precision)
-        psi4 = hifi.solve_adjoint(scaled, theta, u)
+        psi4 = hifi.evaluate(scaled, theta).psi
         assert np.allclose(psi4, 4.0 * psi, rtol=1e-10)
 
 
@@ -106,19 +98,19 @@ class TestGradient:
         p = uniform4_8
         u = hifi.solve_state(p, p.theta_ref)
         exact = dataclasses.replace(p, y=p.observe(u))
-        grad, _, _ = hifi.grad_potential(exact, p.theta_ref)
+        grad = hifi.evaluate(exact, p.theta_ref).grad_eta
         assert np.allclose(grad, 0.0)
 
     def test_uniform4_finite_differences(self, uniform4_8):
         rng = np.random.default_rng(5)
         for theta in draw_coercive(uniform4_8, rng, 3):
-            grad, _, _ = hifi.grad_potential(uniform4_8, theta)
+            grad = hifi.evaluate(uniform4_8, theta).grad_eta
             fd = fd_gradient(lambda t: hifi.potential(uniform4_8, t)[0], theta)
             assert np.abs(fd - grad).max() <= 1e-5 * np.abs(grad).max()
 
     def test_gaussian9_finite_differences(self, gaussian9_9):
         theta = np.zeros(9)
-        grad, _, _ = hifi.grad_potential(gaussian9_9, theta)
+        grad = hifi.evaluate(gaussian9_9, theta).grad_eta
         fd = fd_gradient(lambda t: hifi.potential(gaussian9_9, t)[0], theta)
         assert np.abs(fd - grad).max() <= 1e-5 * np.abs(grad).max()
 

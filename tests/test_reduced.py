@@ -6,8 +6,8 @@ import pytest
 from svrb import adaptive, hifi
 from svrb.cases import assemble_problem, uniform4_case
 from svrb.reduced import RBSolveFailed, ReducedModel
+from svrb.verify import build_small_rb, draw_coercive
 
-from conftest import draw_coercive, small_rb
 from test_hifi import fd_gradient
 
 
@@ -54,7 +54,7 @@ class TestEnrich:
             assert p.v_norm(u_h - u_r) < 1e-9 * p.v_norm(u_h)
 
     def test_block_consistency_against_projection(self, gaussian9_9):
-        rm = small_rb(gaussian9_9, np.random.default_rng(1), 4)
+        rm = build_small_rb(gaussian9_9, np.random.default_rng(1), 4)
         assert rm.verify_blocks(gaussian9_9) < 1e-9
 
     def test_orthonormality(self, uniform4_16, rb_uniform4_16):
@@ -81,7 +81,7 @@ class TestReducedSolves:
             u_h = hifi.solve_state(p, theta)
             u_r = rm.reconstruct(rm.solve_state(p, theta), "state")
             assert p.v_norm(u_h - u_r) <= 1e-9 * max(p.v_norm(u_h), 1e-12)
-            psi_h = hifi.solve_adjoint(p, theta, u_h)
+            psi_h = hifi.evaluate(p, theta).psi
             ev = rm.evaluate(p, theta)
             psi_r = rm.reconstruct(ev.psi_r, "adjoint")
             assert p.v_norm(psi_h - psi_r) <= 1e-8 * max(p.v_norm(psi_h), 1e-12)
@@ -304,7 +304,7 @@ class TestInvariantsAndPersistence:
         times = []
         for n in (32, 128):
             p = assemble_problem(uniform4_case(n))
-            rm = small_rb(p, np.random.default_rng(12), 10)
+            rm = build_small_rb(p, np.random.default_rng(12), 10)
             theta = draw_coercive(p, rng, 1)[0]
             rm.potential(p, theta)  # warm-up
             reps = [time.perf_counter()]
