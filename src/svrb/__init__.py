@@ -25,6 +25,7 @@ from .fem import (
 from .reduced import RBEvaluation, RBSolveFailed, ReducedModel
 from .runlog import IterationRecord, RunLog
 from .svgd import (
+    NumericalAbort,
     ParticleEnsemble,
     SVGDConfig,
     kernel_and_grad,
@@ -51,6 +52,7 @@ __all__ = [
     "HiFiBackend",
     "IterationRecord",
     "MeshGrid",
+    "NumericalAbort",
     "ParticleEnsemble",
     "RBEvaluation",
     "RBSolveFailed",

@@ -69,6 +69,7 @@ def tolerance_update(cfg, t_l, t_0, previous=None):
 def greedy_sweep(rm, problem, particles, tol, max_basis=500, stagnation_drop=0.1):
     """Enrich at worst-indicator particles until all are within ``tol``.
 
+    Each pass scores every particle not yet excluded in one online pass.
     Stops early when the basis cap is reached or when the selected
     parameter is already a snapshot and its indicator refuses to drop
     (both loudly flagged).  Particles whose high-fidelity solve loses
@@ -76,17 +77,13 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=500, stagnation_drop=0.1
     """
     particles = np.atleast_2d(particles)
     result = SweepResult(n_enriched=0, max_indicator=np.inf)
-    excluded = set()
+    live = np.ones(len(particles), dtype=bool)
     last_selected = {}  # theta bytes -> indicator when last selected
 
-    def indicator_at(theta):
-        return abs(rm._solve_online(problem, theta).delta)
-
     while True:
-        vals = np.array([
-            -np.inf if m in excluded else indicator_at(theta)
-            for m, theta in enumerate(particles)
-        ])
+        vals = np.full(len(particles), -np.inf)
+        if live.any():
+            vals[live] = np.abs(rm._solve_online(problem, particles[live]).delta)
         worst = float(vals.max())
         result.history.append(worst)
         result.max_indicator = worst
@@ -106,7 +103,7 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=500, stagnation_drop=0.1
         try:
             ev = hifi.evaluate(problem, theta)
         except CoercivityLost:
-            excluded.add(pick)
+            live[pick] = False
             result.skipped.append(pick)
             continue
         rm.enrich(problem, ev.u, ev.psi, theta)

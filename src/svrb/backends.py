@@ -1,9 +1,17 @@
-"""Posterior backends: the contract "given theta, return (eta, grad eta)".
+"""Posterior backends: the contract "given a stack of parameters, return
+their potentials and gradients".
+
+The sampler hands every backend the whole particle stack ``thetas`` of
+shape ``(M, d)``: ``evaluate_batch(thetas)`` returns ``(etas[M],
+grads[M, d])`` and ``potential_batch(thetas)`` returns ``etas[M]``.  A
+failure at any row raises.
 
 Three production implementations (high-fidelity, fixed reduced basis,
 adaptive reduced basis -- the last two share :class:`RBBackend`, the
 adaptive driver mutates the model between sweeps) plus an analytic
-Gaussian backend for sampler tests.
+Gaussian backend for sampler tests.  The reduced and Gaussian backends
+evaluate a stack in one pass; the high-fidelity backend needs one sparse
+factorization per parameter and loops.
 """
 
 import time
@@ -14,7 +22,11 @@ from . import hifi
 
 
 class HiFiBackend:
-    """Full finite-element evaluations; one factorization per parameter."""
+    """Full finite-element evaluations; one factorization per parameter.
+
+    :meth:`evaluate` and :meth:`potential` take one parameter; the batch
+    methods call them row by row and stop at the first failure.
+    """
 
     descriptor = "hifi"
 
@@ -37,20 +49,44 @@ class HiFiBackend:
         self.n_evaluations += 1
         return eta
 
+    def evaluate_batch(self, thetas):
+        etas, grads = zip(*(self.evaluate(theta) for theta in thetas))
+        return np.array(etas), np.array(grads)
 
-class RBBackend:
+    def potential_batch(self, thetas):
+        return np.array([self.potential(theta) for theta in thetas])
+
+
+class _Broadcasting:
+    """Backends whose :meth:`evaluate` and :meth:`potential` take a whole stack.
+
+    The batch methods look the single methods up at call time, so a wrapper
+    installed on the class sees every batch.
+    """
+
+    def evaluate_batch(self, thetas):
+        return self.evaluate(np.atleast_2d(thetas))
+
+    def potential_batch(self, thetas):
+        return self.potential(np.atleast_2d(thetas))
+
+
+class RBBackend(_Broadcasting):
     """Reduced-basis evaluations of the corrected potential and gradient.
 
     With ``corrected=False`` the plain reduced quantities are returned
     instead.  The same instance serves both the fixed and the adaptive
     pipeline; the adaptive driver enriches ``self.model`` between sweeps.
+    ``evaluate`` and ``potential`` take one parameter or a stack.
 
-    Line-search trials (``potential``) are guarded against loss of
-    coercivity: the surrogate extrapolates smoothly into regions where the
-    full operator is not even well posed, so without a guard a trial step
-    can report an arbitrarily attractive fake merit.  A conservative O(J)
-    field bound keeps the typical cost mesh-independent; only when that
-    bound is inconclusive does the exact per-quadrature-point check run.
+    Both are guarded against loss of coercivity: the surrogate extrapolates
+    smoothly into regions where the full operator is not even well posed,
+    so without a guard a trial step can report an arbitrarily attractive
+    fake merit, and a clamped iterate can leave the coercive set.  A
+    conservative O(J) field bound, evaluated for the whole stack at once,
+    keeps the typical cost mesh-independent; only rows where that bound is
+    inconclusive get the exact per-quadrature-point check, again in one
+    pass.
     """
 
     def __init__(self, problem, model, corrected=True, adaptive=False):
@@ -61,27 +97,34 @@ class RBBackend:
         self.timers = {"rb_online": 0.0}
         self.n_evaluations = 0
 
+    def _guard(self, thetas):
+        """Raise :class:`~svrb.fem.CoercivityLost` if any row may not be coercive."""
+        unsure = self.problem.conservative_field_min(thetas) <= self.problem.coercivity_floor
+        if unsure.any():  # the exact check decides where the cheap bound cannot
+            self.problem.check_coercive(thetas[unsure])
+
     def evaluate(self, theta):
+        thetas = np.atleast_2d(theta)
+        self._guard(thetas)
         t0 = time.perf_counter()
         ev = self.model.evaluate(self.problem, theta)
         self.timers["rb_online"] += time.perf_counter() - t0
-        self.n_evaluations += 1
+        self.n_evaluations += len(thetas)
         if self.corrected:
             return ev.eta_delta, ev.grad_eta_delta
         return ev.eta_r, ev.grad_eta_r
 
     def potential(self, theta):
-        if self.problem.conservative_field_min(theta) <= self.problem.coercivity_floor:
-            # cheap bound inconclusive: let the exact check decide (rare)
-            self.problem.check_coercive(theta)
+        thetas = np.atleast_2d(theta)
+        self._guard(thetas)
         t0 = time.perf_counter()
         eta_r, eta_delta, _, _ = self.model.potential(self.problem, theta)
         self.timers["rb_online"] += time.perf_counter() - t0
-        self.n_evaluations += 1
+        self.n_evaluations += len(thetas)
         return eta_delta if self.corrected else eta_r
 
 
-class GaussianBackend:
+class GaussianBackend(_Broadcasting):
     """Analytic Gaussian potential ``0.5 * ||theta - mean||^2`` for tests."""
 
     descriptor = "gaussian-toy"
@@ -92,7 +135,7 @@ class GaussianBackend:
 
     def evaluate(self, theta):
         diff = np.asarray(theta, dtype=float) - self.mean
-        return 0.5 * float(diff @ diff), diff
+        return 0.5 * np.einsum("...i,...i->...", diff, diff), diff
 
     def potential(self, theta):
         return self.evaluate(theta)[0]

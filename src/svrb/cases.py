@@ -93,9 +93,13 @@ class StandardGaussian:
 class AffineTerm:
     """One affine term: a spatial field with its parameter coefficient.
 
-    ``field`` maps points ``(m, 2) -> (m,)``; ``c`` maps theta to a scalar
-    and ``dc`` to its gradient.  ``c=None`` marks a non-affine coefficient,
-    which is rejected at assembly.
+    ``field`` maps points ``(m, 2) -> (m,)``.  ``c`` and ``dc`` take a stack
+    of parameters of shape ``(..., d)`` -- a single ``(d,)`` parameter or an
+    ``(M, d)`` particle stack -- and return the coefficient values
+    ``(...)`` and their gradients ``(..., d)``; outputs that broadcast to
+    those shapes (a constant, say) are accepted.  Assembly rejects a map
+    that handles only one parameter at a time.  ``c=None`` marks a
+    non-affine coefficient, which is rejected at assembly too.
     """
 
     field: object
@@ -107,8 +111,19 @@ def _const_field(value):
     return lambda x: np.full(x.shape[0], float(value))
 
 
-def _const_coeff(value, d):
-    return (lambda theta: float(value)), (lambda theta: np.zeros(d))
+def _const_coeff(value):
+    return ((lambda theta: np.full(np.shape(theta)[:-1], float(value))),
+            (lambda theta: np.zeros(np.shape(theta))))
+
+
+def _coordinate_coeff(j, f, df):
+    """Coefficient ``f(theta_j)`` and its gradient ``df(theta_j) e_j``."""
+    def dc(theta):
+        grad = np.zeros(np.shape(theta))
+        grad[..., j] = df(theta[..., j])
+        return grad
+
+    return (lambda theta: f(theta[..., j])), dc
 
 
 @dataclass
@@ -133,13 +148,11 @@ def uniform4_case(n, **overrides):
     """Four cosine modes over a constant background diffusivity of 5."""
     d = 4
     modes = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    terms = [AffineTerm(_const_field(5.0), *_const_coeff(1.0, d))]
+    terms = [AffineTerm(_const_field(5.0), *_const_coeff(1.0))]
     for j, (j1, j2) in enumerate(modes):
         fld = (lambda j1, j2: lambda x: np.cos(j1 * np.pi * x[:, 0]) * np.cos(j2 * np.pi * x[:, 1]))(j1, j2)
-        cj = (lambda j: lambda theta: float(theta[j]))(j)
-        dcj = (lambda j: lambda theta: np.eye(d)[j])(j)
-        terms.append(AffineTerm(fld, cj, dcj))
-    load = [AffineTerm(_const_field(1.0), *_const_coeff(1.0, d))]
+        terms.append(AffineTerm(fld, *_coordinate_coeff(j, lambda t: t, lambda t: 1.0)))
+    load = [AffineTerm(_const_field(1.0), *_const_coeff(1.0))]
     r3 = np.sqrt(3.0)
     cfg = CaseConfig(
         name="uniform4",
@@ -164,18 +177,11 @@ def _cell_indicator(bx, by):
     return field
 
 
-def _exp_half(j, d):
+def _exp_half(t):
     # overflow at extreme trial parameters maps to inf, which downstream
     # coercivity checks treat as lost well-posedness
-    def c(theta):
-        with np.errstate(over="ignore"):
-            return float(np.exp(theta[j] / 2.0))
-
-    def dc(theta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(theta[j] / 2.0) / 2.0 * np.eye(d)[j]
-
-    return c, dc
+    with np.errstate(over="ignore"):
+        return np.exp(t / 2.0)
 
 
 def gaussian9_case(n, **overrides):
@@ -189,8 +195,9 @@ def gaussian9_case(n, **overrides):
     terms = []
     for j in range(d):
         bx, by = j % 3, j // 3  # cells ordered left-to-right, bottom-to-top
-        terms.append(AffineTerm(_cell_indicator(bx, by), *_exp_half(j, d)))
-    load = [AffineTerm(_const_field(1.0), *_const_coeff(1.0, d))]
+        terms.append(AffineTerm(_cell_indicator(bx, by),
+                                *_coordinate_coeff(j, _exp_half, lambda t: _exp_half(t) / 2.0)))
+    load = [AffineTerm(_const_field(1.0), *_const_coeff(1.0))]
     cfg = CaseConfig(
         name="gaussian9",
         n=n,
@@ -212,11 +219,11 @@ def custom_case(n, diffusion, load, prior, dim, **overrides):
     fields and loads may be given as floats.
     """
     diffusion = [
-        t if isinstance(t, AffineTerm) else AffineTerm(_const_field(t), *_const_coeff(1.0, dim))
+        t if isinstance(t, AffineTerm) else AffineTerm(_const_field(t), *_const_coeff(1.0))
         for t in diffusion
     ]
     load = [
-        t if isinstance(t, AffineTerm) else AffineTerm(_const_field(t), *_const_coeff(1.0, dim))
+        t if isinstance(t, AffineTerm) else AffineTerm(_const_field(t), *_const_coeff(1.0))
         for t in load
     ]
     cfg = CaseConfig(
@@ -258,12 +265,16 @@ def assemble_problem(case):
     columns (bottom and top edges) are eliminated from every object.
     """
     d = _case_dim(case)
+    theta_ref = np.asarray(
+        case.theta_ref if case.theta_ref is not None else np.ones(d), dtype=float
+    )
     for term in case.diffusion + case.load:
         if term.c is None or term.dc is None:
             raise UnsupportedCoefficient(
                 "coefficient without an affine decomposition; supply c(theta) "
                 "and its gradient or use an empirical-interpolation preprocessor"
             )
+        _probe_stacked(term, theta_ref + np.array([[0.0], [0.5]]))
 
     mesh = fem.build_mesh(case.n)
     qpts, qw = fem.quadrature_points(mesh, case.quad_rule)
@@ -291,9 +302,6 @@ def assemble_problem(case):
         fem._assemble_weighted_stiffness(mesh, _tri_areas(mesh)) + fem._assemble_mass(mesh)
     )
 
-    theta_ref = np.asarray(
-        case.theta_ref if case.theta_ref is not None else np.ones(d), dtype=float
-    )
     theta_data = np.asarray(
         case.theta_data if case.theta_data is not None else theta_ref, dtype=float
     )
@@ -347,6 +355,30 @@ def assemble_problem(case):
     problem.sigma = sigma
     problem.noise_precision = np.full(len(obs_points), 1.0 / sigma**2)
     return problem
+
+
+def _probe_stacked(term, thetas):
+    """Reject a coefficient map that does not evaluate a parameter stack.
+
+    The online paths evaluate every particle in one call, so ``c`` and
+    ``dc`` applied to the ``(2, d)`` stack ``thetas`` must give, row by
+    row, what they give for each row alone.
+    """
+    for fn, shape in ((term.c, thetas.shape[:1]), (term.dc, thetas.shape)):
+        try:
+            with np.errstate(all="ignore"):
+                stacked = np.broadcast_to(fn(thetas), shape)
+                rows = [np.broadcast_to(fn(theta), shape[1:]) for theta in thetas]
+            same = all(np.allclose(s, r, equal_nan=True) for s, r in zip(stacked, rows))
+        except (TypeError, ValueError, IndexError) as exc:
+            raise UnsupportedCoefficient(
+                f"coefficient map {fn!r} fails on a (2, d) parameter stack: {exc}"
+            ) from exc
+        if not same:
+            raise UnsupportedCoefficient(
+                f"coefficient map {fn!r} evaluates a parameter stack differently "
+                "from its rows; coefficient maps take stacks of shape (..., d)"
+            )
 
 
 def _tri_areas(mesh):

@@ -19,9 +19,10 @@ from .config import ConfigError, ExperimentConfig, _validate
 from .fem import CoercivityLost, ConfigurationError, SolveFailed
 from .reduced import RBSolveFailed, ReducedModel
 from .runlog import RunLog
-from .svgd import SVGDConfig, svgd_run
+from .svgd import NumericalAbort, SVGDConfig, svgd_run
 
-_NUMERICAL = (CoercivityLost, SolveFailed, RBSolveFailed, RuntimeError)
+# only these mean "the numerics gave out"; any other error is a bug and surfaces
+_NUMERICAL = (NumericalAbort, CoercivityLost, SolveFailed, RBSolveFailed)
 _CONFIG = (ConfigError, ConfigurationError, UnsupportedCoefficient)
 
 

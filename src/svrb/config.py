@@ -137,6 +137,8 @@ def _validate(cfg):
         raise ConfigError("max_steps must be >= 0")
     if cfg.svgd_tol < 0:
         raise ConfigError("svgd_tol must be >= 0")
+    if cfg.backend.tol < 0:
+        raise ConfigError("backend tol must be >= 0")
     if cfg.backend.eps0 <= 0:
         raise ConfigError("eps0 must be positive")
     if cfg.backend.update_every is not None and cfg.backend.update_every < 1:

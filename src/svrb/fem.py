@@ -294,42 +294,56 @@ class AffineParametricProblem:
     def eval_coefficients(self, theta):
         """Affine coefficient values and their exact parameter gradients.
 
-        Returns ``(cA, cF, dcA, dcF)`` with shapes ``(J_A,)``, ``(J_F,)``,
-        ``(J_A, d)``, ``(J_F, d)``.
+        ``theta`` is one parameter ``(d,)`` or a stack ``(M, d)``.  Returns
+        ``(cA, cF, dcA, dcF)`` with shapes ``(..., J_A)``, ``(..., J_F)``,
+        ``(..., J_A, d)``, ``(..., J_F, d)``, where ``...`` is the stack
+        shape (empty for a single parameter).
         """
         theta = np.asarray(theta, dtype=float)
-        cA = np.array([c(theta) for c in self.diffusion_c])
-        cF = np.array([c(theta) for c in self.load_c])
-        dcA = np.array([dc(theta) for dc in self.diffusion_dc]).reshape(len(cA), self.dim)
-        dcF = np.array([dc(theta) for dc in self.load_dc]).reshape(len(cF), self.dim)
-        return cA, cF, dcA, dcF
+        lead = theta.shape[:-1]
+
+        def collect(maps, per_term):  # term axis first, then moved behind the stack axes
+            out = np.empty((len(maps),) + per_term)
+            for j, fn in enumerate(maps):
+                out[j] = fn(theta)  # broadcasts constant maps over the stack
+            return np.moveaxis(out, 0, len(lead))
+
+        return (collect(self.diffusion_c, lead), collect(self.load_c, lead),
+                collect(self.diffusion_dc, theta.shape), collect(self.load_dc, theta.shape))
 
     def field_range(self, theta):
-        """Min and max of the diffusion field over all quadrature points."""
+        """Min and max of the diffusion field over all quadrature points,
+        one pair of values per row for a stack ``(M, d)``."""
         cA, _, _, _ = self.eval_coefficients(theta)
         with np.errstate(invalid="ignore"):  # inf coefficients on zero fields
-            values = self.coeff_at_quad @ cA
-        return values.min(), values.max()
+            values = self.coeff_at_quad @ cA.T  # (Q,) or (Q, M)
+        return values.min(axis=0), values.max(axis=0)
 
     def check_coercive(self, theta):
-        """Raise :class:`CoercivityLost` if the field dips below the floor."""
-        lo, _ = self.field_range(theta)
-        if not np.isfinite(lo) or lo <= self.coercivity_floor:
-            raise CoercivityLost(theta, lo, self.coercivity_floor)
+        """Raise :class:`CoercivityLost` if the field dips below the floor
+        (at the first such row of a stack)."""
+        lo = np.atleast_1d(self.field_range(theta)[0])
+        bad = ~np.isfinite(lo) | (lo <= self.coercivity_floor)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CoercivityLost(np.atleast_2d(theta)[i], lo[i], self.coercivity_floor)
 
     def conservative_field_min(self, theta):
         """Rigorous lower bound on the field minimum, online cost O(J).
 
         Underestimates ``field_range(theta)[0]``; useful where the exact
         per-quadrature-point check would break mesh-independent cost.
-        Overflowing coefficients count as lost coercivity.
+        Overflowing coefficients count as lost coercivity.  A stack
+        ``(M, d)`` gives one bound per row.
         """
         cA, _, _, _ = self.eval_coefficients(theta)
-        if not np.all(np.isfinite(cA)):
-            return -np.inf
         if self._one_hot_fields:  # cellwise partition: the field IS some cA_j
-            return float(cA.min())
-        return float(np.minimum(cA * self._coeff_lo, cA * self._coeff_hi).sum())
+            bound = cA.min(axis=-1)
+        else:
+            with np.errstate(invalid="ignore"):  # inf coefficients on zero fields
+                bound = np.minimum(cA * self._coeff_lo, cA * self._coeff_hi).sum(axis=-1)
+        bound = np.where(np.isfinite(cA).all(axis=-1), bound, -np.inf)
+        return float(bound) if bound.ndim == 0 else bound
 
     def operator(self, theta, check=True):
         """Assembled operator and load at ``theta``: ``(A(theta), f(theta))``."""

@@ -8,10 +8,12 @@ evaluation -- reduced state, reduced adjoint, the dual-weighted residual,
 the corrected potential, incremental solves, and both gradients -- costs
 work independent of the high-fidelity dimension.
 
-One online pass per parameter assembles the reduced operators once and
-yields the reduced state and adjoint, the plain potential and the
-dual-weighted residual; :meth:`ReducedModel.potential`,
+One online pass over a stack of parameters (the particles) assembles the
+reduced operators once and yields the reduced states and adjoints, the
+plain potentials and the dual-weighted residuals, with one stacked dense
+solve per system; :meth:`ReducedModel.potential`,
 :meth:`ReducedModel.evaluate` and the greedy indicator all read from it.
+A single parameter is a stack of one.
 
 Conventions: reduced matrices follow the Galerkin layout ``B[m, n] =
 A(basis_n, basis_m)``; the cross block maps state coefficients to adjoint
@@ -30,19 +32,30 @@ class RBSolveFailed(RuntimeError):
 
 
 class _Online(NamedTuple):
-    """Quantities every online evaluation at one parameter shares."""
+    """Quantities every online evaluation of a parameter stack shares;
+    each has a leading particle axis."""
 
-    coeffs: tuple   # (cA, cF, dcA, dcF) from ``eval_coefficients``
-    ops: tuple      # (Au, Ap, Aup, fu, fp) assembled at the parameter
-    u_r: np.ndarray
-    psi_r: np.ndarray
-    eta_r: float
-    delta: float    # dual-weighted residual, the greedy indicator up to sign
+    coeffs: tuple         # (cA, cF, dcA, dcF) from ``eval_coefficients``
+    ops: tuple            # (Au, Ap, fu, fp) assembled at every parameter
+    u_r: np.ndarray       # (M, N_u)
+    psi_r: np.ndarray     # (M, N_p)
+    eta_r: np.ndarray     # (M,)
+    delta: np.ndarray     # (M,) dual-weighted residual, the greedy indicator up to sign
+
+
+def _stack(theta):
+    """``theta`` as an ``(M, d)`` stack, and whether it was a single ``(d,)`` parameter."""
+    theta = np.asarray(theta, dtype=float)
+    return np.atleast_2d(theta), theta.ndim == 1
+
+
+def _unstack(x, single):
+    return x[0] if single else x
 
 
 @dataclass
 class RBEvaluation:
-    """All online quantities at one parameter."""
+    """All online quantities at one parameter, or per row of a stack."""
 
     theta: np.ndarray
     u_r: np.ndarray = field(repr=False)
@@ -173,54 +186,76 @@ class ReducedModel:
             self.Aup = np.concatenate([self.Aup, cross[:, None, :]], axis=1)
 
     # -- online evaluation ---------------------------------------------------
+    #
+    # Every method below takes one parameter ``(d,)`` or a stack ``(M, d)``
+    # and returns per-row results with the same leading shape.  Reduced
+    # operators are built for the whole stack at once and each system is
+    # solved in one stacked call; the cross block is only ever applied term
+    # by term, so no ``(M, N_p, N_u)`` array is formed.
 
-    def _online_operators(self, problem, theta, coeffs=None):
-        cA, cF, _, _ = coeffs or problem.eval_coefficients(theta)
+    def _online_operators(self, problem, thetas, coeffs=None):
+        cA, cF, _, _ = coeffs or problem.eval_coefficients(thetas)
         Au = np.tensordot(cA, self.Au, axes=1)
         Ap = np.tensordot(cA, self.Ap, axes=1)
-        Aup = np.tensordot(cA, self.Aup, axes=1)
-        fu = cF @ self.fu
-        fp = cF @ self.fp
-        return Au, Ap, Aup, fu, fp
+        return Au, Ap, cF @ self.fu, cF @ self.fp
+
+    @staticmethod
+    def _apply(cA, blocks, x, transpose=False):
+        """``sum_j cA[m, j] * blocks[j] @ x[m]`` (or with ``blocks[j].T``) per row."""
+        per_term = np.tensordot(x, blocks, axes=([1], [1 if transpose else 2]))
+        return np.einsum("mj,mjk->mk", cA, per_term)
+
+    @staticmethod
+    def _per_term(left, blocks, right):
+        """``left[m] @ blocks[j] @ right[m]`` for every row m and term j."""
+        return np.einsum("mk,mjk->mj", left, np.tensordot(right, blocks, axes=([1], [2])))
 
     @staticmethod
     def _dense_solve(A, b, what):
-        if A.shape[0] == 0:
+        """Solve ``A[m] x[m] = b[m]`` for every row in one stacked call."""
+        if A.shape[-1] == 0:
             raise RBSolveFailed(f"{what}: reduced basis is empty")
         try:
-            return np.linalg.solve(A, b)
+            return np.linalg.solve(A, b[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise RBSolveFailed(f"{what}: singular reduced system ({exc})") from exc
 
     def solve_state(self, problem, theta, operators=None):
         """Reduced state coefficients at ``theta``."""
-        Au, _, _, fu, _ = operators or self._online_operators(problem, theta)
-        return self._dense_solve(Au, fu, "state")
+        thetas, single = _stack(theta)
+        Au, _, fu, _ = operators or self._online_operators(problem, thetas)
+        return _unstack(self._dense_solve(Au, fu, "state"), single)
 
     def solve_adjoint(self, problem, theta, u_r, operators=None):
         """Reduced adjoint coefficients given the reduced state."""
-        _, Ap, _, _, _ = operators or self._online_operators(problem, theta)
-        residual = problem.y - self.Ou.T @ u_r
-        b = self.Op @ problem.misfit_weighted(residual)
-        return self._dense_solve(Ap.T, b, "adjoint")
+        thetas, single = _stack(theta)
+        _, Ap, _, _ = operators or self._online_operators(problem, thetas)
+        residual = problem.y - np.atleast_2d(u_r) @ self.Ou
+        b = problem.misfit_weighted(residual) @ self.Op.T
+        return _unstack(self._dense_solve(np.swapaxes(Ap, 1, 2), b, "adjoint"), single)
 
-    def dwr(self, problem, theta, u_r, psi_r, operators=None):
+    def dwr(self, problem, theta, u_r, psi_r, coeffs=None):
         """Dual-weighted residual: state residual tested with the adjoint."""
-        _, _, Aup, _, fp = operators or self._online_operators(problem, theta)
-        return float(psi_r @ (Aup @ u_r) - psi_r @ fp)
+        thetas, single = _stack(theta)
+        cA, cF, _, _ = coeffs or problem.eval_coefficients(thetas)
+        u_r, psi_r = np.atleast_2d(u_r), np.atleast_2d(psi_r)
+        delta = (np.einsum("mp,mp->m", psi_r, self._apply(cA, self.Aup, u_r))
+                 - np.einsum("mp,mp->m", psi_r, cF @ self.fp))
+        return _unstack(delta, single)
 
-    def _solve_online(self, problem, theta):
+    def _solve_online(self, problem, thetas):
         """Coefficients, operators, reduced state and adjoint, plain
-        potential and dual-weighted residual at ``theta``: the one sequence
-        behind :meth:`potential`, :meth:`evaluate` and the greedy indicator.
+        potential and dual-weighted residual for the stack ``thetas``: the
+        one pass behind :meth:`potential`, :meth:`evaluate` and the greedy
+        indicator.
         """
-        coeffs = problem.eval_coefficients(theta)
-        ops = self._online_operators(problem, theta, coeffs)
-        u_r = self.solve_state(problem, theta, ops)
-        psi_r = self.solve_adjoint(problem, theta, u_r, ops)
-        residual = problem.y - self.Ou.T @ u_r
-        eta_r = 0.5 * float(residual @ problem.misfit_weighted(residual))
-        delta = self.dwr(problem, theta, u_r, psi_r, ops)
+        coeffs = problem.eval_coefficients(thetas)
+        ops = self._online_operators(problem, thetas, coeffs)
+        u_r = self.solve_state(problem, thetas, ops)
+        psi_r = self.solve_adjoint(problem, thetas, u_r, ops)
+        residual = problem.y - u_r @ self.Ou
+        eta_r = 0.5 * np.einsum("ms,ms->m", residual, problem.misfit_weighted(residual))
+        delta = self.dwr(problem, thetas, u_r, psi_r, coeffs)
         return _Online(coeffs, ops, u_r, psi_r, eta_r, delta)
 
     def potential(self, problem, theta):
@@ -228,10 +263,12 @@ class ReducedModel:
 
         Returns ``(eta_r, eta_delta, u_r, psi_r)``.
         """
-        on = self._solve_online(problem, theta)
-        return on.eta_r, on.eta_r + on.delta, on.u_r, on.psi_r
+        thetas, single = _stack(theta)
+        on = self._solve_online(problem, thetas)
+        return tuple(_unstack(x, single)
+                     for x in (on.eta_r, on.eta_r + on.delta, on.u_r, on.psi_r))
 
-    def incrementals(self, problem, theta, u_r, psi_r, operators=None):
+    def incrementals(self, problem, theta, u_r, psi_r, coeffs=None, operators=None):
         """Incremental adjoint and state solves for the corrected gradient.
 
         Returns ``(psi_hat, u_hat)``.  The incremental adjoint carries the
@@ -239,16 +276,21 @@ class ReducedModel:
         the misfit functional, and the observation coupling of the
         incremental adjoint.
         """
-        Au, Ap, Aup, fu, fp = operators or self._online_operators(problem, theta)
-        psi_hat = self._dense_solve(Ap, fp - Aup @ u_r, "incremental adjoint")
-        residual = problem.y - self.Ou.T @ u_r
+        thetas, single = _stack(theta)
+        coeffs = coeffs or problem.eval_coefficients(thetas)
+        Au, Ap, _, fp = operators or self._online_operators(problem, thetas, coeffs)
+        cA = coeffs[0]
+        u_r, psi_r = np.atleast_2d(u_r), np.atleast_2d(psi_r)
+        psi_hat = self._dense_solve(Ap, fp - self._apply(cA, self.Aup, u_r),
+                                    "incremental adjoint")
+        residual = problem.y - u_r @ self.Ou
         rhs = (
-            -(Aup.T @ psi_r)
-            + self.Ou @ problem.misfit_weighted(residual)
-            - self.Ou @ problem.misfit_weighted(self.Op.T @ psi_hat)
+            -self._apply(cA, self.Aup, psi_r, transpose=True)
+            + problem.misfit_weighted(residual) @ self.Ou.T
+            - problem.misfit_weighted(psi_hat @ self.Op) @ self.Ou.T
         )
-        u_hat = self._dense_solve(Au.T, rhs, "incremental state")
-        return psi_hat, u_hat
+        u_hat = self._dense_solve(np.swapaxes(Au, 1, 2), rhs, "incremental state")
+        return _unstack(psi_hat, single), _unstack(u_hat, single)
 
     def evaluate(self, problem, theta):
         """All online quantities at ``theta`` in one pass.
@@ -257,31 +299,22 @@ class ReducedModel:
         follow from the reduced state and adjoint and the incremental
         solutions.
         """
-        theta = np.asarray(theta, dtype=float)
-        on = self._solve_online(problem, theta)
+        thetas, single = _stack(theta)
+        on = self._solve_online(problem, thetas)
         u_r, psi_r = on.u_r, on.psi_r
         _, _, dcA, dcF = on.coeffs
-        psi_hat, u_hat = self.incrementals(problem, theta, u_r, psi_r, on.ops)
-        J_A, J_F = len(self.Au), len(self.fu)
-        cross = np.array([psi_r @ (self.Aup[j] @ u_r) for j in range(J_A)])
-        load_p = np.array([psi_r @ self.fp[k] for k in range(J_F)])
-        grad_r = dcA.T @ cross - dcF.T @ load_p
-        corr_state = np.array([u_hat @ (self.Au[j] @ u_r) for j in range(J_A)])
-        corr_load = np.array([u_hat @ self.fu[k] for k in range(J_F)])
-        corr_adj = np.array([psi_r @ (self.Ap[j] @ psi_hat) for j in range(J_A)])
-        grad_delta = grad_r + dcA.T @ (corr_state + corr_adj) - dcF.T @ corr_load
-        return RBEvaluation(
-            theta=theta,
-            u_r=u_r,
-            psi_r=psi_r,
-            u_hat=u_hat,
-            psi_hat=psi_hat,
-            eta_r=on.eta_r,
-            delta=on.delta,
-            eta_delta=on.eta_r + on.delta,
-            grad_eta_r=grad_r,
-            grad_eta_delta=grad_delta,
-        )
+        psi_hat, u_hat = self.incrementals(problem, thetas, u_r, psi_r, on.coeffs, on.ops)
+
+        def chain(dc, terms):  # sum over terms of coefficient gradient times term
+            return np.einsum("mjd,mj->md", dc, terms)
+
+        grad_r = chain(dcA, self._per_term(psi_r, self.Aup, u_r)) - chain(dcF, psi_r @ self.fp.T)
+        corr = self._per_term(u_hat, self.Au, u_r) + self._per_term(psi_r, self.Ap, psi_hat)
+        grad_delta = grad_r + chain(dcA, corr) - chain(dcF, u_hat @ self.fu.T)
+        fields = dict(theta=thetas, u_r=u_r, psi_r=psi_r, u_hat=u_hat, psi_hat=psi_hat,
+                      eta_r=on.eta_r, delta=on.delta, eta_delta=on.eta_r + on.delta,
+                      grad_eta_r=grad_r, grad_eta_delta=grad_delta)
+        return RBEvaluation(**{k: _unstack(v, single) for k, v in fields.items()})
 
     def reconstruct(self, coeffs, which="state"):
         """Lift reduced coefficients back to the high-fidelity space."""

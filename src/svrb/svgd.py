@@ -5,7 +5,9 @@ particle along a sample-averaged direction combining score-weighted
 attraction and kernel-gradient repulsion.  The kernel bandwidth follows
 the median heuristic, the step size comes from a backtracking line search
 on the sample-average potential, and the iteration stops when the largest
-particle update drops below a tolerance.
+particle update drops below a tolerance.  Each iteration hands the backend
+the whole particle stack once for potentials and gradients, and once per
+line-search trial for potentials.
 """
 
 import time
@@ -18,6 +20,10 @@ from .reduced import RBSolveFailed
 from .runlog import IterationRecord, RunLog
 
 _TRIAL_FAILURES = (CoercivityLost, SolveFailed, RBSolveFailed, FloatingPointError)
+
+
+class NumericalAbort(RuntimeError):
+    """The sampler cannot go on: the backend failed where no fallback exists."""
 
 
 @dataclass
@@ -119,21 +125,22 @@ def line_search(particles, direction, potential_fn, prior, alpha_init=1.0,
 
     The merit is the mean of (potential - log prior) over the shifted
     particles; a trial step is accepted once it strictly decreases the
-    merit.  Backend failures at trial points count as infinite merit.
-    Returns ``(alpha, exhausted, n_evaluations)``.
+    merit.  ``potential_fn`` maps the particle stack ``(M, d)`` to its
+    potentials ``(M,)``.  A backend failure at any trial particle makes
+    that trial's merit infinite; a failure at the current particles raises
+    :class:`NumericalAbort`.  Returns ``(alpha, exhausted, n_evaluations)``.
     """
     if not np.any(direction):
         return alpha_init, False, 0
 
     def merit(thetas):
-        etas = np.array([potential_fn(t) for t in thetas])
-        return float(np.mean(etas + prior_neglog(prior, thetas)))
+        return float(np.mean(potential_fn(thetas) + prior_neglog(prior, thetas)))
 
     n_evals = 0
     try:
         base = merit(particles)
     except _TRIAL_FAILURES as exc:
-        raise RuntimeError(
+        raise NumericalAbort(
             f"line-search reference merit failed at the current particles: {exc}"
         ) from exc
     n_evals += len(particles)
@@ -185,19 +192,15 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
             extra = hook(l, ensemble, None if l == 0 else t, log) or {}
 
         t0 = time.perf_counter()
-        etas = np.empty(ensemble.n_particles)
-        grads = np.empty_like(ensemble.particles)
-        for m, theta in enumerate(ensemble.particles):
-            try:
-                etas[m], grads[m] = backend.evaluate(theta)
-            except _TRIAL_FAILURES as exc:
-                raise RuntimeError(
-                    f"backend {backend.descriptor} failed at particle {m} "
-                    f"of iteration {l}: {exc}"
-                ) from exc
+        try:
+            etas, grads = backend.evaluate_batch(ensemble.particles)
+        except _TRIAL_FAILURES as exc:
+            raise NumericalAbort(
+                f"backend {backend.descriptor} failed in iteration {l}: {exc}"
+            ) from exc
         if not (np.isfinite(etas).all() and np.isfinite(grads).all()):
             bad = int(np.argmax(~(np.isfinite(etas) & np.isfinite(grads).all(axis=1))))
-            raise RuntimeError(
+            raise NumericalAbort(
                 f"backend {backend.descriptor} returned non-finite values at "
                 f"particle {bad} of iteration {l}"
             )
@@ -214,7 +217,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
             alpha = float(alpha_schedule[l])
         else:
             alpha, exhausted, _ = line_search(
-                ensemble.particles, direction, backend.potential, prior,
+                ensemble.particles, direction, backend.potential_batch, prior,
                 config.alpha_init, config.max_backtracks,
             )
             if exhausted:

@@ -126,7 +126,8 @@ class TestRun:
         ["--eps0", "-1"],
         ["--K", "0"],
         ["--mesh", "0"],
-    ], ids=["particles", "svgd-tol", "eps0", "K", "mesh"])
+        ["--tol", "-1"],
+    ], ids=["particles", "svgd-tol", "eps0", "K", "mesh", "tol"])
     def test_bad_flag_values_are_config_errors(self, tmp_path, capsys, flags):
         cfg = write_config(tmp_path / "c.json",
                            backend={"kind": "rb-adaptive", "eps0": 0.1, "update_every": 2})
@@ -155,6 +156,18 @@ class TestRun:
         assert bad_seed is not None
         cfg = write_config(tmp_path / "c.json", particles=64, seed=bad_seed)
         assert main(["run", "--config", str(cfg)]) == 3
+
+    def test_plain_bug_is_not_a_numerical_abort(self, tmp_path, monkeypatch, capsys):
+        import svrb.cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("a programming error")
+
+        monkeypatch.setattr(svrb.cli, "svgd_run", broken)
+        cfg = write_config(tmp_path / "c.json")
+        with pytest.raises(RuntimeError, match="a programming error"):
+            main(["run", "--config", str(cfg)])
+        assert "numerical abort" not in capsys.readouterr().err
 
     def test_save_and_load_rb(self, tmp_path):
         rb_path = str(tmp_path / "saved_rb.npz")

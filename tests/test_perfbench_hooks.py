@@ -1,22 +1,76 @@
 """The benchmark in ``perfbench/`` wraps svrb functions by name; a rename breaks it."""
 
+import json
 import os
 import sys
 
 import scipy.sparse.linalg as spla
 
+from svrb import cli
+from svrb.backends import HiFiBackend
+from svrb.cases import assemble_problem, uniform4_case
+from svrb.svgd import SVGDConfig, svgd_run
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def test_every_traced_name_exists_and_is_restored():
+def _tracing():
     sys.path.insert(0, PERFBENCH)
     try:
         import tracing
     finally:
         sys.path.remove(PERFBENCH)
+    return tracing
+
+
+def test_every_traced_name_exists_and_is_restored():
+    tracing = _tracing()
     originals = [getattr(owner, attr) for owner, attr, _, _ in tracing.SPANS]
     splu = spla.splu
     tracer = tracing.Tracer(tracing.SPANS)
     tracer.close()
     assert [getattr(owner, attr) for owner, attr, _, _ in tracing.SPANS] == originals
     assert spla.splu is splu
+
+
+def test_hifi_batches_give_one_span_per_parameter():
+    """The benchmark reconciles factorizations with per-parameter backend calls."""
+    tracing = _tracing()
+    problem = assemble_problem(uniform4_case(8))
+    backend = HiFiBackend(problem)
+    # long first steps leave the coercive set, so some trials fail
+    cfg = SVGDConfig(n_particles=4, max_steps=2, tol=1e-12, alpha_init=64.0, seed=1)
+    tracer = tracing.Tracer(tracing.PROBES)
+    try:
+        _, log = svgd_run(backend, problem.prior, cfg)
+    finally:
+        tracer.close()
+    calls = [r for r in tracer.spans if r[tracing.NAME].startswith("backends.")]
+    evaluates = [r for r in calls if r[tracing.NAME] == "backends.evaluate"]
+    assert len(evaluates) == cfg.n_particles * len(log.records) > 0
+    failed = [r for r in calls if r[tracing.ERROR] is not None]
+    assert failed
+    assert len(calls) == backend.n_evaluations + len(failed)
+    factorized_then_failed = sum(r[tracing.SPLU1] > r[tracing.SPLU0] for r in failed)
+    assert tracer.splu_calls == backend.n_evaluations + factorized_then_failed
+    assert all(r[tracing.SPLU1] - r[tracing.SPLU0] == 1 for r in calls
+               if r[tracing.ERROR] is None)
+
+
+def test_rb_run_fires_every_predicted_span(tmp_path):
+    """A small adaptive run opens every span the chains-u4 workload predicts."""
+    tracing = _tracing()
+    with open(os.path.join(PERFBENCH, "spec.json")) as fh:
+        predicted = json.load(fh)["workloads"]["chains-u4"]["spans"]
+    cfg = {"case": {"name": "uniform4", "n": 8}, "particles": 8, "max_steps": 3,
+           "svgd_tol": 1e-12, "seed": 0, "output_dir": str(tmp_path / "out"),
+           "backend": {"kind": "rb-adaptive", "eps0": 0.01, "update_every": 2}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    tracer = tracing.Tracer(tracing.SPANS)
+    try:
+        assert cli.main(["run", "--config", str(path)]) == 0
+    finally:
+        tracer.close()
+    fired = {r[tracing.NAME] for r in tracer.spans}
+    assert not set(predicted) - fired

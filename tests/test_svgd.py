@@ -5,6 +5,7 @@ from svrb.backends import GaussianBackend
 from svrb.cases import StandardGaussian, UniformBox
 from svrb.fem import CoercivityLost
 from svrb.svgd import (
+    NumericalAbort,
     SVGDConfig,
     kernel_and_grad,
     line_search,
@@ -138,17 +139,17 @@ class TestLineSearch:
     def test_zero_direction_accepts_initial(self):
         backend = GaussianBackend(np.zeros(1))
         alpha, exhausted, n_evals = line_search(
-            np.array([[1.0]]), np.zeros((1, 1)), backend.potential, None, 0.7)
+            np.array([[1.0]]), np.zeros((1, 1)), backend.potential_batch, None, 0.7)
         assert (alpha, exhausted, n_evals) == (0.7, False, 0)
 
     def test_quadratic_accepts_unit_step(self):
         backend = GaussianBackend(np.zeros(1))
         alpha, exhausted, _ = line_search(
-            np.array([[1.0]]), np.array([[-1.0]]), backend.potential, None, 1.0)
+            np.array([[1.0]]), np.array([[-1.0]]), backend.potential_batch, None, 1.0)
         assert alpha == 1.0 and not exhausted
 
     def test_uphill_direction_exhausts(self):
-        potential = lambda t: float(t[0])  # merit increases for any step
+        potential = lambda thetas: thetas[:, 0]  # merit increases for any step
         alpha, exhausted, _ = line_search(
             np.array([[0.0]]), np.array([[1.0]]), potential, None, 1.0,
             max_backtracks=10)
@@ -158,15 +159,36 @@ class TestLineSearch:
     def test_failing_trial_counts_as_infinite(self):
         # descent direction toward the mode at 2, but evaluations past 0.5
         # fail; the search must back off below the failure threshold
-        def guarded(theta):
-            if theta[0] > 0.5:
-                raise CoercivityLost(theta, -1.0, 0.0)
-            return float((theta[0] - 2.0) ** 2) / 2
+        def guarded(thetas):
+            bad = thetas[:, 0] > 0.5
+            if bad.any():
+                raise CoercivityLost(thetas[bad][0], -1.0, 0.0)
+            return (thetas[:, 0] - 2.0) ** 2 / 2
 
         alpha, exhausted, _ = line_search(
             np.array([[0.4]]), np.array([[1.0]]), guarded, None, 1.0)
         assert not exhausted
         assert 0.4 + alpha <= 0.5 + 1e-12
+
+    def test_one_failing_particle_fails_the_trial(self):
+        # the second particle crosses the failure threshold first; the whole
+        # trial counts as infinite merit, so the step backs off for both
+        def guarded(thetas):
+            if np.any(thetas[:, 0] > 1.0):
+                raise CoercivityLost(thetas[0], -1.0, 0.0)
+            return (thetas[:, 0] - 3.0) ** 2 / 2
+
+        particles = np.array([[0.0], [0.9]])
+        alpha, exhausted, _ = line_search(particles, np.ones((2, 1)), guarded, None, 1.0)
+        assert not exhausted
+        assert 0.9 + alpha <= 1.0
+
+    def test_reference_failure_is_a_numerical_abort(self):
+        def failing(thetas):
+            raise CoercivityLost(thetas[0], -1.0, 0.0)
+
+        with pytest.raises(NumericalAbort, match="reference merit"):
+            line_search(np.zeros((2, 1)), np.ones((2, 1)), failing, None, 1.0)
 
 
 class TestRun:
