@@ -19,6 +19,9 @@ from .fem import CoercivityLost
 from .reduced import ReducedModel
 from .svgd import draw_prior, svgd_run
 
+# a reselected snapshot parameter must cut its indicator by this fraction
+STAGNATION_DROP = 0.1
+
 
 @dataclass
 class AdaptiveConfig:
@@ -66,7 +69,7 @@ def tolerance_update(cfg, t_l, t_0, previous=None):
     return value
 
 
-def greedy_sweep(rm, problem, particles, tol, max_basis=500, stagnation_drop=0.1):
+def greedy_sweep(rm, problem, particles, tol, max_basis=500):
     """Enrich at worst-indicator particles until all are within ``tol``.
 
     Each pass scores every particle not yet excluded in one online pass.
@@ -96,7 +99,7 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=500, stagnation_drop=0.1
         theta = particles[pick]
         key = theta.tobytes()
         seen = any(np.array_equal(theta, p) for p in rm.provenance)
-        if seen and key in last_selected and vals[pick] > (1 - stagnation_drop) * last_selected[key]:
+        if seen and key in last_selected and vals[pick] > (1 - STAGNATION_DROP) * last_selected[key]:
             result.flags.append("stagnation")
             break
         last_selected[key] = vals[pick]
@@ -119,22 +122,22 @@ def run_svrb(problem, svgd_config, adaptive_config, alpha_schedule=None, log_met
     hook to the sampler: every ``update_every`` iterations the tolerance is
     refreshed from the latest stopping indicator and a sweep re-certifies
     the surrogate on the current particles.  Returns
-    ``(ensemble, model, runlog)``.
+    ``(ensemble, model, runlog)``; ``runlog.meta["rb_offline_seconds"]``
+    is the time spent seeding the model and in greedy sweeps.
     """
     particles0 = draw_prior(problem.prior, svgd_config.n_particles, svgd_config.seed)
+    t0 = time.perf_counter()
     rm = initialize(problem, particles0[0])
-    backend = RBBackend(problem, rm, corrected=True, adaptive=True)
-    offline = {"seconds": 0.0}
+    sweep0 = greedy_sweep(rm, problem, particles0, adaptive_config.eps0,
+                          adaptive_config.max_basis)
+    offline = {"seconds": time.perf_counter() - t0}
+    backend = RBBackend(problem, rm, adaptive=True)
 
     state = {"tol": adaptive_config.eps0, "t0": None}
     period = adaptive_config.update_every
     if period in (None, math.inf):
         period = None
 
-    t0 = time.perf_counter()
-    sweep0 = greedy_sweep(rm, problem, particles0, adaptive_config.eps0,
-                          adaptive_config.max_basis)
-    offline["seconds"] += time.perf_counter() - t0
     initial_sweep = {"eps_r": adaptive_config.eps0, "n_enriched": 1 + sweep0.n_enriched,
                      "certified_max_indicator": sweep0.max_indicator,
                      "flags": list(sweep0.flags)}

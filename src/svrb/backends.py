@@ -74,54 +74,35 @@ class _Broadcasting:
 class RBBackend(_Broadcasting):
     """Reduced-basis evaluations of the corrected potential and gradient.
 
-    With ``corrected=False`` the plain reduced quantities are returned
-    instead.  The same instance serves both the fixed and the adaptive
-    pipeline; the adaptive driver enriches ``self.model`` between sweeps.
-    ``evaluate`` and ``potential`` take one parameter or a stack.
-
-    Both are guarded against loss of coercivity: the surrogate extrapolates
-    smoothly into regions where the full operator is not even well posed,
-    so without a guard a trial step can report an arbitrarily attractive
-    fake merit, and a clamped iterate can leave the coercive set.  A
-    conservative O(J) field bound, evaluated for the whole stack at once,
-    keeps the typical cost mesh-independent; only rows where that bound is
-    inconclusive get the exact per-quadrature-point check, again in one
-    pass.
+    The same instance serves both the fixed and the adaptive pipeline; the
+    adaptive driver enriches ``self.model`` between sweeps.  ``evaluate``
+    and ``potential`` take one parameter or a stack, and both first pass
+    the stack through :meth:`~svrb.fem.AffineParametricProblem.check_coercive`.
     """
 
-    def __init__(self, problem, model, corrected=True, adaptive=False):
+    def __init__(self, problem, model, adaptive=False):
         self.problem = problem
         self.model = model
-        self.corrected = corrected
         self.descriptor = "rb-adaptive" if adaptive else "rb-fixed"
         self.timers = {"rb_online": 0.0}
         self.n_evaluations = 0
 
-    def _guard(self, thetas):
-        """Raise :class:`~svrb.fem.CoercivityLost` if any row may not be coercive."""
-        unsure = self.problem.conservative_field_min(thetas) <= self.problem.coercivity_floor
-        if unsure.any():  # the exact check decides where the cheap bound cannot
-            self.problem.check_coercive(thetas[unsure])
+    def _online(self, method, theta):
+        """Guard the stack, then run the model's ``method`` on it, timed and counted."""
+        thetas = np.atleast_2d(theta)
+        self.problem.check_coercive(thetas)
+        t0 = time.perf_counter()
+        out = method(self.problem, theta)
+        self.timers["rb_online"] += time.perf_counter() - t0
+        self.n_evaluations += len(thetas)
+        return out
 
     def evaluate(self, theta):
-        thetas = np.atleast_2d(theta)
-        self._guard(thetas)
-        t0 = time.perf_counter()
-        ev = self.model.evaluate(self.problem, theta)
-        self.timers["rb_online"] += time.perf_counter() - t0
-        self.n_evaluations += len(thetas)
-        if self.corrected:
-            return ev.eta_delta, ev.grad_eta_delta
-        return ev.eta_r, ev.grad_eta_r
+        ev = self._online(self.model.evaluate, theta)
+        return ev.eta_delta, ev.grad_eta_delta
 
     def potential(self, theta):
-        thetas = np.atleast_2d(theta)
-        self._guard(thetas)
-        t0 = time.perf_counter()
-        eta_r, eta_delta, _, _ = self.model.potential(self.problem, theta)
-        self.timers["rb_online"] += time.perf_counter() - t0
-        self.n_evaluations += len(thetas)
-        return eta_delta if self.corrected else eta_r
+        return self._online(self.model.potential, theta)[1]  # the corrected potential
 
 
 class GaussianBackend(_Broadcasting):

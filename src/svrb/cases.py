@@ -310,7 +310,6 @@ def assemble_problem(case):
         name=case.name,
         mesh=mesh,
         free_dofs=free,
-        dirichlet_dofs=dirichlet,
         A_blocks=A_blocks,
         diffusion_c=[t.c for t in case.diffusion],
         diffusion_dc=[t.dc for t in case.diffusion],

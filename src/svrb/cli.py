@@ -17,7 +17,7 @@ from .backends import HiFiBackend, RBBackend
 from .cases import UnsupportedCoefficient, assemble_problem
 from .config import ConfigError, ExperimentConfig, _validate
 from .fem import CoercivityLost, ConfigurationError, SolveFailed
-from .reduced import RBSolveFailed, ReducedModel
+from .reduced import RBSolveFailed, ReducedModel, problem_fingerprint
 from .runlog import RunLog
 from .svgd import NumericalAbort, SVGDConfig, svgd_run
 
@@ -35,6 +35,21 @@ def _svgd_config(cfg):
         max_backtracks=cfg.max_backtracks,
         seed=cfg.seed,
     )
+
+
+def _adaptive_config(cfg):
+    b = cfg.backend
+    return adaptive.AdaptiveConfig(eps0=b.eps0, update_every=b.update_every, rule=b.rule,
+                                   eps_min=b.eps_min, max_basis=b.max_basis)
+
+
+def _load_rb(path, problem):
+    """Load a stored reduced model, refusing one built for another problem."""
+    rm = ReducedModel.load(path)
+    if rm.fingerprint != problem_fingerprint(problem):
+        raise ConfigError(f"reduced model {path} was built for another problem: "
+                          f"{rm.fingerprint} != {problem_fingerprint(problem)}")
+    return rm
 
 
 def _dump_matrices(problem, outdir):
@@ -73,21 +88,15 @@ def cmd_run(cfg):
         ensemble, log = svgd_run(backend, problem.prior, scfg, log_meta=meta)
     elif cfg.backend.kind == "rb-fixed":
         if cfg.load_rb:
-            rm = ReducedModel.load(cfg.load_rb)
+            rm = _load_rb(cfg.load_rb, problem)
         else:
             rm, _ = adaptive.build_fixed_rb(problem, scfg, cfg.backend.tol,
                                             cfg.backend.max_basis)
-        backend = RBBackend(problem, rm, corrected=True, adaptive=False)
+        backend = RBBackend(problem, rm)
         ensemble, log = svgd_run(backend, problem.prior, scfg, log_meta=meta)
     else:
-        acfg = adaptive.AdaptiveConfig(
-            eps0=cfg.backend.eps0,
-            update_every=cfg.backend.update_every,
-            rule=cfg.backend.rule,
-            eps_min=cfg.backend.eps_min,
-            max_basis=cfg.backend.max_basis,
-        )
-        ensemble, rm, log = adaptive.run_svrb(problem, scfg, acfg, log_meta=meta)
+        ensemble, rm, log = adaptive.run_svrb(problem, scfg, _adaptive_config(cfg),
+                                              log_meta=meta)
 
     log.meta.update(meta)
     log.write_jsonl(os.path.join(outdir, "runlog.jsonl"))
@@ -119,8 +128,8 @@ def cmd_analyze(run_dirs):
 
         rb_path = os.path.join(rundir, "rb.npz")
         if os.path.isfile(rb_path):
-            rm = ReducedModel.load(rb_path)
             problem = assemble_problem(cfg.build_case())
+            rm = _load_rb(rb_path, problem)
             rows = errorlab.error_decay_study(problem, rm.provenance, particles)
             with open(os.path.join(rundir, "decay.csv"), "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -169,14 +178,8 @@ def cmd_bench(cfg):
     svgd_run(hifi_backend, problem.prior, scfg)
     hifi_eval = time.perf_counter() - t0
 
-    acfg = adaptive.AdaptiveConfig(
-        eps0=cfg.backend.eps0,
-        update_every=cfg.backend.update_every,
-        rule=cfg.backend.rule,
-        max_basis=cfg.backend.max_basis,
-    )
     t0 = time.perf_counter()
-    _, rm, log = adaptive.run_svrb(problem, scfg, acfg)
+    _, rm, log = adaptive.run_svrb(problem, scfg, _adaptive_config(cfg))
     rb_total = time.perf_counter() - t0
     rb_build = log.meta["rb_offline_seconds"]
     rb_eval = rb_total - rb_build

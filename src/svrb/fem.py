@@ -217,7 +217,6 @@ class AffineParametricProblem:
     name: str
     mesh: MeshGrid
     free_dofs: np.ndarray = field(repr=False)
-    dirichlet_dofs: np.ndarray = field(repr=False)
     A_blocks: list = field(repr=False)
     diffusion_c: list = field(repr=False)
     diffusion_dc: list = field(repr=False)
@@ -250,20 +249,18 @@ class AffineParametricProblem:
         self._one_hot_fields = bool(
             np.all((aq == 0.0) | (aq == 1.0)) and np.allclose(aq.sum(axis=1), 1.0)
         )
-        # all stiffness blocks come from one stencil; when they share the
-        # sparsity structure the parametric operator is a weighted sum of
-        # stacked data arrays instead of repeated sparse additions
+        # all stiffness blocks come from one stencil and share its sparsity
+        # structure, so the operator and its parameter derivatives are
+        # weighted sums of the stacked data arrays
         first = self.A_blocks[0]
-        if all(
+        if not all(
             np.array_equal(blk.indptr, first.indptr)
             and np.array_equal(blk.indices, first.indices)
             for blk in self.A_blocks[1:]
         ):
-            self._block_data = np.stack([blk.data for blk in self.A_blocks])
-            self._block_structure = (first.indices, first.indptr)
-        else:  # pragma: no cover - custom assembly paths
-            self._block_data = None
-            self._block_structure = None
+            raise ConfigurationError("stiffness blocks do not share one sparsity structure")
+        self._block_data = np.stack([blk.data for blk in self.A_blocks])
+        self._block_structure = (first.indices, first.indptr)
 
     # -- sizes ---------------------------------------------------------
 
@@ -320,13 +317,27 @@ class AffineParametricProblem:
         return values.min(axis=0), values.max(axis=0)
 
     def check_coercive(self, theta):
-        """Raise :class:`CoercivityLost` if the field dips below the floor
-        (at the first such row of a stack)."""
-        lo = np.atleast_1d(self.field_range(theta)[0])
+        """Raise :class:`CoercivityLost` at the first row of ``theta`` (one
+        parameter or a stack ``(M, d)``) whose field dips below the floor.
+
+        The surrogate extrapolates smoothly into regions where the full
+        operator is not even well posed, so every evaluation is guarded:
+        without a guard a trial step can report an arbitrarily attractive
+        fake merit, and a clamped iterate can leave the coercive set.  The
+        conservative O(J) bound of :meth:`conservative_field_min`, evaluated
+        for the whole stack at once, keeps the typical cost mesh-independent;
+        only rows where that bound is inconclusive get the exact
+        per-quadrature-point check of :meth:`field_range`, again in one pass.
+        """
+        thetas = np.atleast_2d(theta)
+        unsure = thetas[self.conservative_field_min(thetas) <= self.coercivity_floor]
+        if not len(unsure):
+            return
+        lo = self.field_range(unsure)[0]
         bad = ~np.isfinite(lo) | (lo <= self.coercivity_floor)
         if bad.any():
             i = int(np.argmax(bad))
-            raise CoercivityLost(np.atleast_2d(theta)[i], lo[i], self.coercivity_floor)
+            raise CoercivityLost(unsure[i], lo[i], self.coercivity_floor)
 
     def conservative_field_min(self, theta):
         """Rigorous lower bound on the field minimum, online cost O(J).
@@ -345,25 +356,30 @@ class AffineParametricProblem:
         bound = np.where(np.isfinite(cA).all(axis=-1), bound, -np.inf)
         return float(bound) if bound.ndim == 0 else bound
 
-    def operator(self, theta, check=True):
-        """Assembled operator and load at ``theta``: ``(A(theta), f(theta))``."""
-        if check:
-            self.check_coercive(theta)
+    def _stiffness(self, data):
+        """Sparse matrix with the shared block structure and the given values."""
+        indices, indptr = self._block_structure
+        return sp.csr_matrix((data, indices, indptr), shape=self.A_blocks[0].shape)
+
+    def operator(self, theta):
+        """Assembled operator and load at a coercive ``theta``: ``(A(theta), f(theta))``."""
+        self.check_coercive(theta)
         cA, cF, _, _ = self.eval_coefficients(theta)
-        if self._block_data is not None:
-            indices, indptr = self._block_structure
-            A = sp.csr_matrix((cA @ self._block_data, indices, indptr),
-                              shape=self.A_blocks[0].shape)
-        else:  # pragma: no cover - custom assembly paths
-            A = cA[0] * self.A_blocks[0]
-            for c, blk in zip(cA[1:], self.A_blocks[1:]):
-                if c != 0.0:
-                    A = A + c * blk
-            A = A.tocsr()
         f = np.zeros(self.n_dofs)
         for c, vec in zip(cF, self.f_blocks):
             f += c * vec
-        return A, f
+        return self._stiffness(cA @ self._block_data), f
+
+    def operator_derivatives(self, theta):
+        """Parameter derivatives of the operator and load at ``theta``.
+
+        Returns ``(dA, dF)``: ``dA[j]`` is the sparse matrix of ``d_j A(theta)``
+        and ``dF[j]`` the vector ``d_j f(theta)``, each the affine sum of the
+        blocks with the coefficient gradients.
+        """
+        _, _, dcA, dcF = self.eval_coefficients(theta)
+        dA = [self._stiffness(data) for data in dcA.T @ self._block_data]
+        return dA, dcF.T @ np.stack(self.f_blocks)
 
     # -- norms -----------------------------------------------------------
 

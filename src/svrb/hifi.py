@@ -26,7 +26,6 @@ class Factorization:
         self.theta = np.asarray(theta, dtype=float)
         self.A, self.f = problem.operator(theta)
         self._lu = spla.splu(self.A.tocsc())
-        self.n_solves = 0
 
     def _check(self, x, b, transpose):
         op = self.A.T if transpose else self.A
@@ -40,7 +39,6 @@ class Factorization:
     def solve(self, b, transpose=False):
         x = self._lu.solve(b, trans="T" if transpose else "N")
         self._check(x, b, transpose)
-        self.n_solves += 1
         return x
 
 
@@ -53,7 +51,6 @@ class HiFiEvaluation:
     psi: np.ndarray = field(repr=False)
     eta: float = 0.0
     grad_eta: np.ndarray = None
-    factorization_reused: bool = False
 
 
 def solve_state(problem, theta, op=None):
@@ -100,19 +97,13 @@ def solve_sensitivities(problem, theta, u, psi, op=None):
     precision; the factorization is reused across all ``2d`` solves.
     """
     op = op or Factorization(problem, theta)
-    _, _, dcA, dcF = problem.eval_coefficients(theta)
-    d = problem.dim
-    du = np.empty((d, problem.n_dofs))
-    dpsi = np.empty((d, problem.n_dofs))
-    Au = [blk @ u for blk in problem.A_blocks]
-    for j in range(d):
-        rhs_u = -sum(dcA[k, j] * Au[k] for k in range(len(Au)))
-        for k, vec in enumerate(problem.f_blocks):
-            rhs_u = rhs_u + dcF[k, j] * vec
-        du[j] = op.solve(rhs_u)
-        rhs_psi = -sum(
-            dcA[k, j] * (blk.T @ psi) for k, blk in enumerate(problem.A_blocks)
-        ) - problem.obs_matrix @ problem.misfit_weighted(problem.observe(du[j]))
+    dA, dF = problem.operator_derivatives(theta)
+    du = np.empty((problem.dim, problem.n_dofs))
+    dpsi = np.empty((problem.dim, problem.n_dofs))
+    for j in range(problem.dim):
+        du[j] = op.solve(dF[j] - dA[j] @ u)
+        rhs_psi = -(dA[j].T @ psi) - problem.obs_matrix @ problem.misfit_weighted(
+            problem.observe(du[j]))
         dpsi[j] = op.solve(rhs_psi, transpose=True)
     return du, dpsi
 
@@ -123,7 +114,6 @@ def evaluate(problem, theta, op=None):
     Pass ``op`` to reuse a factorization at the same ``theta``, e.g. for
     :func:`solve_sensitivities` afterwards.
     """
-    reused = op is not None
     op = op or Factorization(problem, theta)
     u = op.solve(op.f)
     psi = op.solve(adjoint_rhs(problem, u), transpose=True)
@@ -133,5 +123,4 @@ def evaluate(problem, theta, op=None):
         psi=psi,
         eta=potential_of_state(problem, u),
         grad_eta=gradient_from_solutions(problem, theta, u, psi),
-        factorization_reused=reused,
     )

@@ -20,6 +20,7 @@ A(basis_n, basis_m)``; the cross block maps state coefficients to adjoint
 test functions, ``C[m, n] = A(state_n, adjoint_m)``.
 """
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -29,6 +30,18 @@ import numpy as np
 
 class RBSolveFailed(RuntimeError):
     """The reduced dense system is singular or empty."""
+
+
+ARTIFACT_SCHEMA = 1  # version of the problem fingerprint stored in ``rb.npz``
+
+
+def problem_fingerprint(problem):
+    """What a stored reduced model must match to be used with ``problem``:
+    case name, sizes, and a hash of the observation points and data."""
+    digest = hashlib.sha256(problem.obs_points.tobytes() + problem.y.tobytes()).hexdigest()
+    return {"schema": ARTIFACT_SCHEMA, "case": problem.name, "n_dofs": problem.n_dofs,
+            "J_A": problem.n_diffusion_terms, "J_F": problem.n_load_terms,
+            "dim": problem.dim, "data_sha256": digest}
 
 
 class _Online(NamedTuple):
@@ -86,6 +99,7 @@ class ReducedModel:
         self.provenance = provenance
         self.deflation_tol = deflation_tol
         self.deflated = []          # (which, theta) for skipped snapshots
+        self.fingerprint = None     # problem_fingerprint of the problem it was built for
 
     # -- construction ----------------------------------------------------
 
@@ -93,7 +107,7 @@ class ReducedModel:
     def empty(cls, problem, deflation_tol=1e-10):
         """Model with zero-size bases, ready for enrichment."""
         n, ja, jf, s = problem.n_dofs, problem.n_diffusion_terms, problem.n_load_terms, problem.n_obs
-        return cls(
+        rm = cls(
             basis_u=np.zeros((n, 0)),
             basis_psi=np.zeros((n, 0)),
             Au=np.zeros((ja, 0, 0)),
@@ -106,6 +120,8 @@ class ReducedModel:
             provenance=[],
             deflation_tol=deflation_tol,
         )
+        rm.fingerprint = problem_fingerprint(problem)
+        return rm
 
     @property
     def n_state(self):
@@ -350,7 +366,7 @@ class ReducedModel:
 
     def save(self, path):
         """Write bases, blocks, and provenance to a ``.npz`` artifact."""
-        meta = {"deflation_tol": self.deflation_tol}
+        meta = {"deflation_tol": self.deflation_tol, "problem": self.fingerprint}
         np.savez_compressed(
             path,
             basis_u=self.basis_u,
@@ -368,10 +384,11 @@ class ReducedModel:
 
     @classmethod
     def load(cls, path):
+        """Read a ``.npz`` artifact; its ``fingerprint`` is None if it has none."""
         data = np.load(path, allow_pickle=False)
         meta = json.loads(str(data["meta"]))
         prov = [row.copy() for row in data["provenance"]] if data["provenance"].size else []
-        return cls(
+        rm = cls(
             basis_u=data["basis_u"],
             basis_psi=data["basis_psi"],
             Au=data["Au"],
@@ -384,3 +401,5 @@ class ReducedModel:
             provenance=prov,
             deflation_tol=meta["deflation_tol"],
         )
+        rm.fingerprint = meta.get("problem")
+        return rm

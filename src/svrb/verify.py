@@ -85,7 +85,7 @@ def dwr_identity_gap(problem, rm, theta):
     psi_r = rm.reconstruct(ev.psi_r, "adjoint")
     e_u = h.u - u_r
     e_psi = h.psi - psi_r
-    A, _ = problem.operator(theta, check=False)
+    A, _ = problem.operator(theta)
 
     paired = -float(psi_r @ (A @ e_u))
     scale = abs(float(psi_r @ (A @ u_r))) + abs(ev.eta_r) + abs(eta_h) + 1e-300

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ class TestRunSVRB:
         acfg = AdaptiveConfig(eps0=1e-3, update_every=None)
         ens_a, rm_a, _ = run_svrb(p, scfg, acfg)
         rm_f, _ = build_fixed_rb(p, scfg, 1e-3)
-        backend = RBBackend(p, rm_f, corrected=True)
+        backend = RBBackend(p, rm_f)
         ens_f, _ = svgd_run(backend, p.prior, scfg)
         assert np.array_equal(ens_a.particles, ens_f.particles)
 
@@ -134,3 +136,17 @@ class TestRunSVRB:
         acfg = AdaptiveConfig(eps0=0.05, update_every=4)
         _, rm, log = run_svrb(p, scfg, acfg)
         assert sum(r.n_enriched for r in log.records) == len(rm.provenance)
+
+    def test_offline_time_includes_the_seed_snapshot(self, uniform4_8, monkeypatch):
+        import svrb.adaptive
+
+        delay = 0.3
+
+        def slow_initialize(problem, theta):
+            time.sleep(delay)
+            return initialize(problem, theta)
+
+        monkeypatch.setattr(svrb.adaptive, "initialize", slow_initialize)
+        scfg = SVGDConfig(n_particles=4, max_steps=1, tol=1e-12, seed=1, alpha_init=0.05)
+        _, _, log = run_svrb(uniform4_8, scfg, AdaptiveConfig(eps0=0.1, update_every=None))
+        assert log.meta["rb_offline_seconds"] >= delay

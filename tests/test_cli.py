@@ -190,6 +190,20 @@ class TestRun:
         )
         assert main(["run", "--config", str(cfg2)]) == 0
 
+    @pytest.mark.parametrize("case", [{"name": "uniform4", "n": 32},
+                                      {"name": "gaussian9", "n": 9}],
+                             ids=["finer-mesh", "other-case"])
+    def test_load_rb_built_for_another_problem(self, tmp_path, capsys, case):
+        rb_path = str(tmp_path / "rb8.npz")
+        cfg = write_config(tmp_path / "c.json", particles=4, max_steps=0,
+                           backend={"kind": "rb-fixed", "tol": 1e-3}, save_rb=rb_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        cfg2 = write_config(tmp_path / "c2.json", case=case, max_steps=1,
+                            backend={"kind": "rb-fixed"}, load_rb=rb_path,
+                            output_dir=str(tmp_path / "out2"))
+        assert main(["run", "--config", str(cfg2)]) == 2
+        assert "built for another problem" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_particle_csv_bytes_identical(self, tmp_path):
@@ -233,6 +247,19 @@ class TestAnalyze:
         rm = ReducedModel.load(out / "rb.npz")
         assert len(rows) == len(rm.provenance)
 
+    def test_rb_of_another_problem_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", particles=4, max_steps=0,
+                           backend={"kind": "rb-fixed", "tol": 1e-3})
+        assert main(["run", "--config", str(cfg)]) == 0
+        other = write_config(tmp_path / "o.json", particles=4, max_steps=0,
+                             case={"name": "uniform4", "n": 8, "noise_seed": 99},
+                             backend={"kind": "rb-fixed", "tol": 1e-3},
+                             output_dir=str(tmp_path / "other"))
+        assert main(["run", "--config", str(other)]) == 0
+        os.replace(tmp_path / "other" / "rb.npz", tmp_path / "out" / "rb.npz")
+        assert main(["analyze", str(tmp_path / "out")]) == 2
+        assert "built for another problem" in capsys.readouterr().err
+
     def test_snapshot_only_model_gives_zero_error_rows(self, tmp_path):
         # zero sampler steps, tiny tolerance: the initial sweep turns every
         # prior particle into a snapshot, so final-stage errors vanish
@@ -273,6 +300,33 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert [r["pipeline"] for r in rows] == ["hifi", "rb-adaptive"]
         assert float(rows[0]["speedup"]) == 1.0
+
+    def test_run_and_bench_map_the_config_alike(self, tmp_path, monkeypatch):
+        import svrb.adaptive
+
+        class Captured(Exception):
+            pass
+
+        seen = []
+
+        def capture(problem, svgd_config, adaptive_config, **kwargs):
+            seen.append((svgd_config, adaptive_config))
+            raise Captured
+
+        monkeypatch.setattr(svrb.adaptive, "run_svrb", capture)
+        cfg = write_config(
+            tmp_path / "c.json",
+            particles=4,
+            max_steps=1,
+            backend={"kind": "rb-adaptive", "eps0": 0.5, "eps_min": 1e-3, "max_basis": 7},
+        )
+        for command in ("run", "bench"):
+            with pytest.raises(Captured):
+                main([command, "--config", str(cfg)])
+        (scfg_run, acfg_run), (scfg_bench, acfg_bench) = seen
+        assert (acfg_run.eps_min, acfg_run.max_basis) == (1e-3, 7)
+        assert acfg_bench == acfg_run
+        assert scfg_bench == scfg_run
 
 
 class TestVerify:

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svrb import fem, hifi
 from svrb.cases import (
@@ -148,6 +152,45 @@ class TestOperator:
         theta = -np.sqrt(3.0) * np.ones(4)
         with pytest.raises(CoercivityLost):
             uniform4_8.operator(theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(thetas=arrays(float, st.tuples(st.integers(1, 6), st.just(4)),
+                         elements=st.floats(-5.0, 5.0)))
+    def test_check_coercive_names_the_first_bad_row(self, uniform4_8, thetas):
+        # the prior box is [-sqrt(3), sqrt(3)]^4; rows beyond it are often not coercive
+        p = uniform4_8
+        lows = np.array([p.field_range(theta)[0] for theta in thetas])
+        bad = np.flatnonzero(lows <= p.coercivity_floor)
+        if not len(bad):
+            p.check_coercive(thetas)
+            return
+        with pytest.raises(CoercivityLost) as err:
+            p.check_coercive(thetas)
+        assert np.array_equal(err.value.theta, thetas[bad[0]])
+        assert err.value.min_value == pytest.approx(lows[bad[0]], rel=1e-12, abs=1e-12)
+
+    def test_blocks_of_different_sparsity_rejected(self, uniform4_8):
+        blk = uniform4_8.A_blocks[1].tolil()
+        blk[0, uniform4_8.n_dofs - 1] = 1.0
+        with pytest.raises(ConfigurationError, match="sparsity"):
+            dataclasses.replace(uniform4_8, A_blocks=[uniform4_8.A_blocks[0], blk.tocsr()]
+                                + uniform4_8.A_blocks[2:])
+
+    def test_uniform4_derivatives_are_the_mode_blocks(self, uniform4_8):
+        dA, dF = uniform4_8.operator_derivatives(np.array([0.3, -1.0, 0.5, 1.2]))
+        for j in range(4):
+            assert abs(dA[j] - uniform4_8.A_blocks[j + 1]).max() == 0.0
+        assert np.all(dF == 0.0)
+
+    def test_gaussian9_derivatives_match_finite_differences(self, gaussian9_9):
+        p, h = gaussian9_9, 1e-6
+        theta = np.linspace(-1.0, 1.0, 9)
+        dA, _ = p.operator_derivatives(theta)
+        for j in (0, 4, 8):
+            e = np.zeros(9)
+            e[j] = h
+            fd = (p.operator(theta + e)[0] - p.operator(theta - e)[0]) / (2 * h)
+            assert abs(fd - dA[j]).max() <= 1e-7 * abs(dA[j]).max()
 
     def test_conservative_bound_underestimates(self, uniform4_8):
         rng = np.random.default_rng(1)

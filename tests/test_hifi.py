@@ -5,7 +5,7 @@ import pytest
 
 from svrb import hifi
 from svrb.cases import assemble_problem, uniform4_case
-from svrb.fem import SolveFailed
+from svrb.fem import CoercivityLost, SolveFailed
 from svrb.verify import draw_coercive
 
 from conftest import manufactured_case
@@ -154,28 +154,37 @@ class TestSensitivities:
         assert np.abs(grad - via_chain).max() <= 1e-8 * np.abs(grad).max()
 
 
+def _count_calls(monkeypatch, owner, name):
+    calls = {"n": 0}
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestFactorizationReuse:
     def test_single_factorization_per_theta(self, uniform4_8, monkeypatch):
-        import scipy.sparse.linalg as spla
-
-        calls = {"n": 0}
-        real_splu = spla.splu
-
-        def counting_splu(*args, **kwargs):
-            calls["n"] += 1
-            return real_splu(*args, **kwargs)
-
-        monkeypatch.setattr(hifi.spla, "splu", counting_splu)
+        factorizations = _count_calls(monkeypatch, hifi.spla, "splu")
+        solves = _count_calls(monkeypatch, hifi.Factorization, "solve")
         theta = uniform4_8.theta_ref
         op = hifi.Factorization(uniform4_8, theta)
         u = op.solve(op.f)
         psi = op.solve(hifi.adjoint_rhs(uniform4_8, u), transpose=True)
         hifi.solve_sensitivities(uniform4_8, theta, u, psi, op)
-        assert calls["n"] == 1
-        assert op.n_solves == 2 + 2 * uniform4_8.dim
+        assert factorizations["n"] == 1
+        assert solves["n"] == 2 + 2 * uniform4_8.dim
+
+    def test_non_coercive_theta_raises_before_factorizing(self, uniform4_8, monkeypatch):
+        factorizations = _count_calls(monkeypatch, hifi.spla, "splu")
+        with pytest.raises(CoercivityLost):
+            hifi.Factorization(uniform4_8, np.full(4, -3.0))
+        assert factorizations["n"] == 0
 
     def test_evaluate_bundles_everything(self, uniform4_8):
         ev = hifi.evaluate(uniform4_8, uniform4_8.theta_ref)
         assert ev.eta >= 0
         assert ev.grad_eta.shape == (4,)
-        assert not ev.factorization_reused

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 
+import pytest
 import scipy.sparse.linalg as spla
 
 from svrb import cli
@@ -57,14 +58,21 @@ def test_hifi_batches_give_one_span_per_parameter():
                if r[tracing.ERROR] is None)
 
 
-def test_rb_run_fires_every_predicted_span(tmp_path):
-    """A small adaptive run opens every span the chains-u4 workload predicts."""
+TINY_RUNS = {
+    "chains-u4": {"case": {"name": "uniform4", "n": 8}, "particles": 8, "max_steps": 3,
+                  "backend": {"kind": "rb-adaptive", "eps0": 0.01, "update_every": 2}},
+    "hifi-g9": {"case": {"name": "gaussian9", "n": 9}, "particles": 4, "max_steps": 2,
+                "backend": {"kind": "hifi"}},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TINY_RUNS))
+def test_rb_run_fires_every_predicted_span(tmp_path, workload):
+    """A tiny run of each workload's configuration opens every span it predicts."""
     tracing = _tracing()
     with open(os.path.join(PERFBENCH, "spec.json")) as fh:
-        predicted = json.load(fh)["workloads"]["chains-u4"]["spans"]
-    cfg = {"case": {"name": "uniform4", "n": 8}, "particles": 8, "max_steps": 3,
-           "svgd_tol": 1e-12, "seed": 0, "output_dir": str(tmp_path / "out"),
-           "backend": {"kind": "rb-adaptive", "eps0": 0.01, "update_every": 2}}
+        predicted = json.load(fh)["workloads"][workload]["spans"]
+    cfg = dict(TINY_RUNS[workload], svgd_tol=1e-12, seed=0, output_dir=str(tmp_path / "out"))
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     tracer = tracing.Tracer(tracing.SPANS)

@@ -131,7 +131,7 @@ class TestDWR:
             u_h = hifi.solve_state(p, theta)
             e_u = u_h - rm.reconstruct(ev.u_r, "state")
             psi_r = rm.reconstruct(ev.psi_r, "adjoint")
-            A, _ = p.operator(theta, check=False)
+            A, _ = p.operator(theta)
             paired = -float(psi_r @ (A @ e_u))
             scale = max(abs(ev.delta), abs(paired), 1e-6 * abs(ev.eta_r))
             assert abs(ev.delta - paired) <= 1e-10 * scale
@@ -293,7 +293,7 @@ class TestInvariantsAndPersistence:
             eta_h = hifi.potential_of_state(p, u_h)
             e_u = u_h - rm.reconstruct(ev.u_r, "state")
             e_psi = psi_h - rm.reconstruct(ev.psi_r, "adjoint")
-            A, _ = p.operator(theta, check=False)
+            A, _ = p.operator(theta)
             obs_e = p.observe(e_u)
             rhs = -float(e_psi @ (A @ e_u)) - 0.5 * float(obs_e @ p.misfit_weighted(obs_e))
             lhs = eta_h - ev.eta_delta
