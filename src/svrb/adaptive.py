@@ -79,6 +79,7 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=500):
     coercivity are skipped for the sweep.
     """
     particles = np.atleast_2d(particles)
+    coeffs = problem.eval_coefficients(particles)  # the particles stay put within a sweep
     result = SweepResult(n_enriched=0, max_indicator=np.inf)
     live = np.ones(len(particles), dtype=bool)
     last_selected = {}  # theta bytes -> indicator when last selected
@@ -86,7 +87,8 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=500):
     while True:
         vals = np.full(len(particles), -np.inf)
         if live.any():
-            vals[live] = np.abs(rm._solve_online(problem, particles[live]).delta)
+            live_coeffs = tuple(c[live] for c in coeffs)
+            vals[live] = np.abs(rm._solve_online(problem, particles[live], live_coeffs).delta)
         worst = float(vals.max())
         result.history.append(worst)
         result.max_indicator = worst

@@ -77,7 +77,8 @@ class RBBackend(_Broadcasting):
     The same instance serves both the fixed and the adaptive pipeline; the
     adaptive driver enriches ``self.model`` between sweeps.  ``evaluate``
     and ``potential`` take one parameter or a stack, and both first pass
-    the stack through :meth:`~svrb.fem.AffineParametricProblem.check_coercive`.
+    the stack through :meth:`~svrb.fem.AffineParametricProblem.check_coercive`;
+    the guard and the online pass share one coefficient evaluation.
     """
 
     def __init__(self, problem, model, adaptive=False):
@@ -90,9 +91,10 @@ class RBBackend(_Broadcasting):
     def _online(self, method, theta):
         """Guard the stack, then run the model's ``method`` on it, timed and counted."""
         thetas = np.atleast_2d(theta)
-        self.problem.check_coercive(thetas)
+        coeffs = self.problem.eval_coefficients(thetas)
+        self.problem.check_coercive(thetas, coeffs)
         t0 = time.perf_counter()
-        out = method(self.problem, theta)
+        out = method(self.problem, theta, coeffs)
         self.timers["rb_online"] += time.perf_counter() - t0
         self.n_evaluations += len(thetas)
         return out

@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import time
+import zipfile
 
 import numpy as np
 
@@ -44,8 +45,12 @@ def _adaptive_config(cfg):
 
 
 def _load_rb(path, problem):
-    """Load a stored reduced model, refusing one built for another problem."""
-    rm = ReducedModel.load(path)
+    """Load a stored reduced model, refusing a file that does not read as one
+    and one built for another problem."""
+    try:
+        rm = ReducedModel.load(path)
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read reduced model {path}: {exc!r}") from exc
     if rm.fingerprint != problem_fingerprint(problem):
         raise ConfigError(f"reduced model {path} was built for another problem: "
                           f"{rm.fingerprint} != {problem_fingerprint(problem)}")

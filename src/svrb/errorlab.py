@@ -105,15 +105,16 @@ def bound_constants(problem, theta):
     is the field maximum; the derivative-form bounds take the sup of each
     parameter derivative of the field.
     """
-    _, f_theta = problem.operator(theta)  # check_coercive raises off the coercive set
-    lo, hi = problem.field_range(theta)
+    coeffs = problem.eval_coefficients(theta)
+    _, f_theta = problem.operator(theta, coeffs)  # check_coercive raises off the coercive set
+    lo, hi = problem.field_range(theta, coeffs)
     alpha = lo / (1.0 + POINCARE**2)
     gamma = hi
-    _, _, dcA, _ = problem.eval_coefficients(theta)
+    _, _, dcA, _ = coeffs
     rho = np.abs(problem.coeff_at_quad @ dcA).max(axis=0)
 
     F_dual = problem.dual_norm(f_theta)
-    _, dF = problem.operator_derivatives(theta)
+    _, dF = problem.operator_derivatives(theta, coeffs)
     dF_dual = np.array([problem.dual_norm(dF_j) for dF_j in dF])
 
     o_dual = problem.obs_dual_norms()
@@ -169,14 +170,15 @@ def residual_vectors(problem, rm, theta, u_r_full, psi_r_full,
     Returns ``(r_u, r_psi, r_u_j, r_psi_j)``; the per-derivative residuals
     are only formed when the reduced sensitivities are supplied.
     """
-    A, f = problem.operator(theta)
+    coeffs = problem.eval_coefficients(theta)
+    A, f = problem.operator(theta, coeffs)
     r_u = A @ u_r_full - f
     misfit = problem.misfit_weighted(problem.y - problem.observe(u_r_full))
     r_psi = A.T @ psi_r_full - problem.obs_matrix @ misfit
 
     r_u_j = r_psi_j = None
     if du_r_full is not None:
-        dA, dF = problem.operator_derivatives(theta)
+        dA, dF = problem.operator_derivatives(theta, coeffs)
         r_u_j = np.array([A @ du - (dF_j - dA_j @ u_r_full)
                           for du, dA_j, dF_j in zip(du_r_full, dA, dF)])
         r_psi_j = np.array([

@@ -1,31 +1,38 @@
 """High-fidelity state/adjoint solves, potential, gradient, sensitivities.
 
 One sparse factorization per parameter value serves the state solve, the
-adjoint solve, and all ``2d`` parameter-sensitivity solves.  :func:`evaluate`
-is the one state-then-adjoint sequence: callers read the adjoint and the
-gradient from its result.  :func:`solve_state` and :func:`potential` need
-only the state.  The operator here is symmetric, but adjoint solves are
-routed through a transpose-solve entry point so a non-symmetric extension
-stays correct.
+adjoint solve, and all ``2d`` parameter-sensitivity solves.  It is an LU
+with a symmetric fill-reducing ordering and diagonal pivots
+(:func:`~svrb.fem.spd_lu`); the residual check after every solve is the
+safety net.  The affine coefficients are evaluated once per factorization
+and shared by the coercivity guard, the assembly, the gradient and the
+sensitivities.  :func:`evaluate` is the one state-then-adjoint sequence:
+callers read the adjoint and the gradient from its result.
+:func:`solve_state` and :func:`potential` need only the state.  The
+operator here is symmetric, but adjoint solves are routed through a
+transpose-solve entry point so a non-symmetric extension stays correct.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .fem import SolveFailed
+from .fem import SolveFailed, spd_lu
 
 RESIDUAL_RTOL = 1e-10
 
 
 class Factorization:
-    """Assembled operator at one parameter with a reusable factorization."""
+    """Assembled operator at one parameter with a reusable factorization.
+
+    ``coeffs`` is the one evaluation of the affine coefficients at ``theta``.
+    """
 
     def __init__(self, problem, theta):
         self.theta = np.asarray(theta, dtype=float)
-        self.A, self.f = problem.operator(theta)
-        self._lu = spla.splu(self.A.tocsc())
+        self.coeffs = problem.eval_coefficients(self.theta)
+        self.A, self.f = problem.operator(self.theta, self.coeffs)
+        self._lu = spd_lu(self.A)
 
     def _check(self, x, b, transpose):
         op = self.A.T if transpose else self.A
@@ -77,13 +84,13 @@ def potential(problem, theta, op=None):
     return potential_of_state(problem, u), u
 
 
-def gradient_from_solutions(problem, theta, u, psi):
+def gradient_from_solutions(problem, theta, u, psi, coeffs=None):
     """Parameter gradient of the potential by the adjoint formula.
 
     Component ``j`` is ``psi^T (d_j A) u - psi^T (d_j f)`` expanded through
     the affine coefficient gradients.
     """
-    _, _, dcA, dcF = problem.eval_coefficients(theta)
+    _, _, dcA, dcF = coeffs or problem.eval_coefficients(theta)
     a_terms = np.array([psi @ (blk @ u) for blk in problem.A_blocks])
     f_terms = np.array([psi @ vec for vec in problem.f_blocks])
     return dcA.T @ a_terms - dcF.T @ f_terms
@@ -97,7 +104,7 @@ def solve_sensitivities(problem, theta, u, psi, op=None):
     precision; the factorization is reused across all ``2d`` solves.
     """
     op = op or Factorization(problem, theta)
-    dA, dF = problem.operator_derivatives(theta)
+    dA, dF = problem.operator_derivatives(theta, op.coeffs)
     du = np.empty((problem.dim, problem.n_dofs))
     dpsi = np.empty((problem.dim, problem.n_dofs))
     for j in range(problem.dim):
@@ -122,5 +129,5 @@ def evaluate(problem, theta, op=None):
         u=u,
         psi=psi,
         eta=potential_of_state(problem, u),
-        grad_eta=gradient_from_solutions(problem, theta, u, psi),
+        grad_eta=gradient_from_solutions(problem, theta, u, psi, op.coeffs),
     )

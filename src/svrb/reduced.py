@@ -259,13 +259,13 @@ class ReducedModel:
                  - np.einsum("mp,mp->m", psi_r, cF @ self.fp))
         return _unstack(delta, single)
 
-    def _solve_online(self, problem, thetas):
+    def _solve_online(self, problem, thetas, coeffs=None):
         """Coefficients, operators, reduced state and adjoint, plain
         potential and dual-weighted residual for the stack ``thetas``: the
         one pass behind :meth:`potential`, :meth:`evaluate` and the greedy
         indicator.
         """
-        coeffs = problem.eval_coefficients(thetas)
+        coeffs = coeffs or problem.eval_coefficients(thetas)
         ops = self._online_operators(problem, thetas, coeffs)
         u_r = self.solve_state(problem, thetas, ops)
         psi_r = self.solve_adjoint(problem, thetas, u_r, ops)
@@ -274,13 +274,14 @@ class ReducedModel:
         delta = self.dwr(problem, thetas, u_r, psi_r, coeffs)
         return _Online(coeffs, ops, u_r, psi_r, eta_r, delta)
 
-    def potential(self, problem, theta):
+    def potential(self, problem, theta, coeffs=None):
         """Plain and corrected reduced potentials.
 
-        Returns ``(eta_r, eta_delta, u_r, psi_r)``.
+        Returns ``(eta_r, eta_delta, u_r, psi_r)``.  ``coeffs``, if given,
+        holds the coefficients of the stack ``(M, d)`` of ``theta``.
         """
         thetas, single = _stack(theta)
-        on = self._solve_online(problem, thetas)
+        on = self._solve_online(problem, thetas, coeffs)
         return tuple(_unstack(x, single)
                      for x in (on.eta_r, on.eta_r + on.delta, on.u_r, on.psi_r))
 
@@ -308,15 +309,15 @@ class ReducedModel:
         u_hat = self._dense_solve(np.swapaxes(Au, 1, 2), rhs, "incremental state")
         return _unstack(psi_hat, single), _unstack(u_hat, single)
 
-    def evaluate(self, problem, theta):
+    def evaluate(self, problem, theta, coeffs=None):
         """All online quantities at ``theta`` in one pass.
 
         The gradients of the plain and the corrected reduced potentials
         follow from the reduced state and adjoint and the incremental
-        solutions.
+        solutions.  ``coeffs`` is as in :meth:`potential`.
         """
         thetas, single = _stack(theta)
-        on = self._solve_online(problem, thetas)
+        on = self._solve_online(problem, thetas, coeffs)
         u_r, psi_r = on.u_r, on.psi_r
         _, _, dcA, dcF = on.coeffs
         psi_hat, u_hat = self.incrementals(problem, thetas, u_r, psi_r, on.coeffs, on.ops)

@@ -10,6 +10,8 @@ from svrb.cases import AffineTerm, UniformBox, UnsupportedCoefficient, assemble_
 from svrb.fem import CoercivityLost
 from svrb.verify import build_small_rb, draw_coercive
 
+from test_hifi import _count_calls
+
 RTOL = 1e-12
 
 
@@ -121,6 +123,19 @@ def test_rb_backend_batch_guards_coercivity(uniform4_8):
     etas, grads = backend.evaluate_batch(stack[:1])
     assert etas.shape == (1,) and grads.shape == (1, 4)
     assert backend.n_evaluations == 1
+
+
+@pytest.mark.parametrize("method", ["evaluate_batch", "potential_batch"])
+def test_rb_backend_evaluates_coefficients_once_per_batch(case, monkeypatch, method):
+    p, rm, thetas = case
+    coeffs = p.eval_coefficients(thetas)
+    calls = _count_calls(monkeypatch, type(p), "eval_coefficients")
+    getattr(RBBackend(p, rm), method)(thetas)
+    assert calls["n"] == 1
+    # handing the online pass the coefficients changes no bit of its result
+    on_own, shared = rm.evaluate(p, thetas), rm.evaluate(p, thetas, coeffs)
+    for name in ("eta_delta", "grad_eta_delta"):
+        assert np.array_equal(getattr(on_own, name), getattr(shared, name))
 
 
 def one_theta_case(c, dc):

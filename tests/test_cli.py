@@ -205,6 +205,18 @@ class TestRun:
         assert "built for another problem" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("content", [None, b"not an npz archive\n"],
+                             ids=["missing", "not-npz"])
+    def test_load_rb_unreadable(self, tmp_path, capsys, content):
+        rb_path = tmp_path / "rb.npz"
+        if content is not None:
+            rb_path.write_bytes(content)
+        cfg = write_config(tmp_path / "c.json", max_steps=1, backend={"kind": "rb-fixed"},
+                           load_rb=str(rb_path))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "cannot read reduced model" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_particle_csv_bytes_identical(self, tmp_path):
         paths = []
@@ -259,6 +271,14 @@ class TestAnalyze:
         os.replace(tmp_path / "other" / "rb.npz", tmp_path / "out" / "rb.npz")
         assert main(["analyze", str(tmp_path / "out")]) == 2
         assert "built for another problem" in capsys.readouterr().err
+
+    def test_unreadable_rb_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", particles=4, max_steps=0,
+                           backend={"kind": "rb-fixed", "tol": 1e-3})
+        assert main(["run", "--config", str(cfg)]) == 0
+        (tmp_path / "out" / "rb.npz").write_bytes(b"PK\x03\x04 truncated")
+        assert main(["analyze", str(tmp_path / "out")]) == 2
+        assert "cannot read reduced model" in capsys.readouterr().err
 
     def test_snapshot_only_model_gives_zero_error_rows(self, tmp_path):
         # zero sampler steps, tiny tolerance: the initial sweep turns every

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from svrb import hifi
 from svrb.cases import assemble_problem, uniform4_case
@@ -168,7 +169,7 @@ def _count_calls(monkeypatch, owner, name):
 
 class TestFactorizationReuse:
     def test_single_factorization_per_theta(self, uniform4_8, monkeypatch):
-        factorizations = _count_calls(monkeypatch, hifi.spla, "splu")
+        factorizations = _count_calls(monkeypatch, spla, "splu")
         solves = _count_calls(monkeypatch, hifi.Factorization, "solve")
         theta = uniform4_8.theta_ref
         op = hifi.Factorization(uniform4_8, theta)
@@ -179,7 +180,7 @@ class TestFactorizationReuse:
         assert solves["n"] == 2 + 2 * uniform4_8.dim
 
     def test_non_coercive_theta_raises_before_factorizing(self, uniform4_8, monkeypatch):
-        factorizations = _count_calls(monkeypatch, hifi.spla, "splu")
+        factorizations = _count_calls(monkeypatch, spla, "splu")
         with pytest.raises(CoercivityLost):
             hifi.Factorization(uniform4_8, np.full(4, -3.0))
         assert factorizations["n"] == 0
@@ -188,3 +189,35 @@ class TestFactorizationReuse:
         ev = hifi.evaluate(uniform4_8, uniform4_8.theta_ref)
         assert ev.eta >= 0
         assert ev.grad_eta.shape == (4,)
+
+
+class TestSymmetricFactorization:
+    @pytest.fixture(params=["uniform4", "gaussian9"])
+    def case(self, request, uniform4_8, gaussian9_9):
+        if request.param == "uniform4":
+            return uniform4_8, np.array([0.4, -0.3, 0.2, 0.1])
+        return gaussian9_9, np.linspace(-1.0, 1.0, 9)
+
+    def test_solves_match_colamd_reference(self, case):
+        p, theta = case
+        op = hifi.Factorization(p, theta)
+        reference = spla.splu(op.A.tocsc())  # SuperLU's default COLAMD ordering
+        b = np.random.default_rng(3).normal(size=p.n_dofs)
+        for trans in ("N", "T"):
+            x_ref = reference.solve(b, trans=trans)
+            x = op.solve(b, transpose=trans == "T")
+            assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_diagonal_pivots_and_less_fill(self, case):
+        p, theta = case
+        op = hifi.Factorization(p, theta)
+        colamd = spla.splu(op.A.tocsc())
+        assert np.array_equal(op._lu.perm_r, op._lu.perm_c)
+        assert op._lu.L.nnz + op._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    @pytest.mark.parametrize("entry", ["evaluate", "potential"])
+    def test_one_coefficient_evaluation_per_call(self, case, monkeypatch, entry):
+        p, theta = case
+        calls = _count_calls(monkeypatch, type(p), "eval_coefficients")
+        getattr(hifi, entry)(p, theta)
+        assert calls["n"] == 1

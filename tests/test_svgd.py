@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svrb.backends import GaussianBackend
 from svrb.cases import StandardGaussian, UniformBox
@@ -114,6 +116,22 @@ class TestDirection:
         q = svgd_direction(particles, scores, 1.1)
         q_perm = svgd_direction(particles[perm], scores[perm], 1.1)
         assert np.allclose(q[perm], q_perm)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 8), d=st.integers(1, 5))
+    def test_permutation_and_translation_equivariance(self, data, m, d):
+        values = st.floats(-3.0, 3.0)
+        particles = data.draw(arrays(float, (m, d), elements=values))
+        scores = data.draw(arrays(float, (m, d), elements=values))
+        shift = data.draw(arrays(float, (d,), elements=st.floats(-10.0, 10.0)))
+        perm = np.array(data.draw(st.permutations(range(m))), dtype=int)
+        h = data.draw(st.floats(0.1, 10.0))
+        q = svgd_direction(particles, scores, h)
+        tol = 1e-9 * (1.0 + np.abs(q).max())
+        assert np.allclose(svgd_direction(particles[perm], scores[perm], h), q[perm],
+                           rtol=0, atol=tol)
+        # the kernel sees only differences, so a rigid shift leaves every direction
+        assert np.allclose(svgd_direction(particles + shift, scores, h), q, rtol=0, atol=tol)
 
     def test_repulsion_pushes_apart(self):
         particles = np.array([[-0.5], [0.5]])
