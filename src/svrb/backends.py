@@ -3,8 +3,13 @@ their potentials and gradients".
 
 The sampler hands every backend the whole particle stack ``thetas`` of
 shape ``(M, d)``: ``evaluate_batch(thetas)`` returns ``(etas[M],
-grads[M, d])`` and ``potential_batch(thetas)`` returns ``etas[M]``.  A
-failure at any row raises.
+grads[M, d])`` and ``potential_batch(thetas, budget=inf)`` returns
+``etas[M]``.  A failure at any row raises.  ``budget`` bounds the sum of
+the potentials the caller still cares about: a backend whose potentials
+are never negative may return ``np.full(M, np.inf)`` as soon as the rows
+it has evaluated already sum to ``budget`` or more, since the whole sum
+can only be larger.  Any backend may ignore it and evaluate every row.
+``n_evaluations`` counts the rows a backend has evaluated.
 
 Three production implementations (high-fidelity, fixed reduced basis,
 adaptive reduced basis -- the last two share :class:`RBBackend`, the
@@ -25,7 +30,11 @@ class HiFiBackend:
     """Full finite-element evaluations; one factorization per parameter.
 
     :meth:`evaluate` and :meth:`potential` take one parameter; the batch
-    methods call them row by row and stop at the first failure.
+    methods call them row by row and stop at the first failure.  A
+    high-fidelity potential is a noise-weighted sum of squares, so
+    :meth:`potential_batch` honours its ``budget``: it stops, and returns
+    all-infinite potentials, once the rows so far sum to at least
+    ``budget``, and evaluates no row if ``budget <= 0``.
     """
 
     descriptor = "hifi"
@@ -53,21 +62,30 @@ class HiFiBackend:
         etas, grads = zip(*(self.evaluate(theta) for theta in thetas))
         return np.array(etas), np.array(grads)
 
-    def potential_batch(self, thetas):
-        return np.array([self.potential(theta) for theta in thetas])
+    def potential_batch(self, thetas, budget=np.inf):
+        etas = np.empty(len(thetas))
+        total = 0.0
+        for i, theta in enumerate(thetas):
+            if not total < budget:  # a NaN total or budget stops too
+                return np.full(len(thetas), np.inf)
+            etas[i] = self.potential(theta)
+            total += etas[i]
+        return etas
 
 
 class _Broadcasting:
     """Backends whose :meth:`evaluate` and :meth:`potential` take a whole stack.
 
     The batch methods look the single methods up at call time, so a wrapper
-    installed on the class sees every batch.
+    installed on the class sees every batch.  The stack is evaluated in one
+    pass, so :meth:`potential_batch` ignores its ``budget``; a corrected
+    reduced potential can be negative, which would void it anyway.
     """
 
     def evaluate_batch(self, thetas):
         return self.evaluate(np.atleast_2d(thetas))
 
-    def potential_batch(self, thetas):
+    def potential_batch(self, thetas, budget=np.inf):
         return self.potential(np.atleast_2d(thetas))
 
 
@@ -115,9 +133,11 @@ class GaussianBackend(_Broadcasting):
     def __init__(self, mean):
         self.mean = np.asarray(mean, dtype=float)
         self.timers = {}
+        self.n_evaluations = 0
 
     def evaluate(self, theta):
         diff = np.asarray(theta, dtype=float) - self.mean
+        self.n_evaluations += len(np.atleast_2d(diff))
         return 0.5 * np.einsum("...i,...i->...", diff, diff), diff
 
     def potential(self, theta):

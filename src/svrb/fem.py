@@ -271,6 +271,16 @@ class AffineParametricProblem:
             raise ConfigurationError("stiffness blocks do not share one sparsity structure")
         self._block_data = np.stack([blk.data for blk in self.A_blocks])
         self._block_structure = (first.indices, first.indptr)
+        # the reduced model's incremental updates rely on symmetric blocks;
+        # in the sorted structure assembly produces, stored entry k at
+        # (row, col) is mirrored by entry mirror[k] at (col, row)
+        rows = np.repeat(np.arange(first.shape[0]), np.diff(first.indptr))
+        mirror = np.argsort(first.indices, kind="stable")
+        if not (np.array_equal(first.indices[mirror], rows)
+                and np.array_equal(rows[mirror], first.indices)
+                and np.array_equal(np.take(self._block_data, mirror, axis=1),
+                                   self._block_data)):
+            raise ConfigurationError("stiffness blocks are not symmetric")
 
     # -- sizes ---------------------------------------------------------
 

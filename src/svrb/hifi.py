@@ -9,8 +9,9 @@ and shared by the coercivity guard, the assembly, the gradient and the
 sensitivities.  :func:`evaluate` is the one state-then-adjoint sequence:
 callers read the adjoint and the gradient from its result.
 :func:`solve_state` and :func:`potential` need only the state.  The
-operator here is symmetric, but adjoint solves are routed through a
-transpose-solve entry point so a non-symmetric extension stays correct.
+operator is symmetric (problem assembly rejects a non-symmetric block);
+adjoint solves still go through the transpose-solve entry point, which
+keeps each adjoint equation written as the transpose it is.
 """
 
 from dataclasses import dataclass, field

@@ -174,20 +174,21 @@ class ReducedModel:
         Its own Galerkin block gains a row and a column and its load and
         observation projections one entry each; the cross block gains a
         column for a new state vector and a row for a new adjoint vector.
+        The diffusion blocks are symmetric (checked at problem assembly), so
+        ``A(v, old_m) = A(old_m, v)``: one product per block fills both the
+        new row and the new column, and the cross block reads ``A_j v`` in
+        either case.
         """
         state = which == "state"
         old, other = (self.basis_u, self.basis_psi) if state else (self.basis_psi, self.basis_u)
         k = old.shape[1]
         Av = [blk @ v for blk in problem.A_blocks]
-        Atv = [blk.T @ v for blk in problem.A_blocks]
         own = np.zeros((len(Av), k + 1, k + 1))
         own[:, :k, :k] = self.Au if state else self.Ap
         for j in range(len(Av)):
-            own[j, :k, k] = old.T @ Av[j]       # column: A(v, old_m)
-            own[j, k, :k] = old.T @ Atv[j]      # row: A(old_n, v)
+            own[j, :k, k] = own[j, k, :k] = old.T @ Av[j]
             own[j, k, k] = v @ Av[j]
-        # A(v, adjoint_m) for a new state vector, A(state_n, v) for a new adjoint one
-        cross = np.stack([other.T @ a for a in (Av if state else Atv)])
+        cross = np.stack([other.T @ a for a in Av])
         grown = (
             np.column_stack([old, v]),
             own,

@@ -17,6 +17,7 @@ class IterationRecord:
     n_adjoint: int = None
     n_enriched: int = 0
     certified_max_indicator: float = None
+    evaluations: int = None  # backend evaluations: factorizations on hifi, online rows on RB
     clamped: int = 0
     flags: list = field(default_factory=list)
     timers: dict = field(default_factory=dict)
@@ -85,7 +86,8 @@ class RunLog:
                     writer.writerow([l, m] + vals + [e])
 
     def write_history_csv(self, path):
-        cols = ["l", "t", "alpha", "eps_r", "n_state", "n_adjoint", "n_enriched", "clamped"]
+        cols = ["l", "t", "alpha", "eps_r", "n_state", "n_adjoint", "n_enriched", "clamped",
+                "evaluations"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)

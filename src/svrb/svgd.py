@@ -7,7 +7,8 @@ the median heuristic, the step size comes from a backtracking line search
 on the sample-average potential, and the iteration stops when the largest
 particle update drops below a tolerance.  Each iteration hands the backend
 the whole particle stack once for potentials and gradients, and once per
-line-search trial for potentials.
+line-search trial for potentials, together with the sum of potentials
+beyond which the trial is rejected for certain.
 """
 
 import time
@@ -125,30 +126,46 @@ def line_search(particles, direction, potential_fn, prior, alpha_init=1.0,
 
     The merit is the mean of (potential - log prior) over the shifted
     particles; a trial step is accepted once it strictly decreases the
-    merit.  ``potential_fn`` maps the particle stack ``(M, d)`` to its
-    potentials ``(M,)``.  A backend failure at any trial particle makes
+    merit below the merit ``base`` at the current particles.
+    ``potential_fn(thetas, budget)`` maps the particle stack ``(M, d)`` to
+    its potentials ``(M,)``.  A backend failure at any trial particle makes
     that trial's merit infinite; a failure at the current particles raises
-    :class:`NumericalAbort`.  Returns ``(alpha, exhausted, n_evaluations)``.
+    :class:`NumericalAbort`.  Returns ``(alpha, exhausted, n_evaluations)``,
+    the last counting the particle rows handed to ``potential_fn`` in calls
+    that returned.
+
+    A trial is accepted iff ``mean(eta + neglog) < base``, that is iff
+    ``sum(eta) < M * base - sum(neglog)``; the prior terms are computed
+    first and that bound, plus a relative slack, is passed as ``budget``.
+    A backend whose potentials are never negative may stop as soon as the
+    rows evaluated so far sum to at least ``budget`` and return infinite
+    potentials (see :mod:`svrb.backends`).  The accepted ``alpha`` is
+    bitwise the same as with every row evaluated: an accepted trial never
+    reaches the budget, so all its rows are evaluated and its merit is the
+    same float; a stopped trial exceeds the acceptance bound by at least
+    the slack, ``1e-9 * (M * |base| + sum|neglog|)``, which is far larger
+    than the rounding of any of the sums involved, so its full merit would
+    not have been below ``base`` either.  Near-ties are evaluated in full.
     """
     if not np.any(direction):
         return alpha_init, False, 0
 
-    def merit(thetas):
-        return float(np.mean(potential_fn(thetas) + prior_neglog(prior, thetas)))
-
-    n_evals = 0
+    m = len(particles)
     try:
-        base = merit(particles)
+        base = float(np.mean(potential_fn(particles, np.inf) + prior_neglog(prior, particles)))
     except _TRIAL_FAILURES as exc:
         raise NumericalAbort(
             f"line-search reference merit failed at the current particles: {exc}"
         ) from exc
-    n_evals += len(particles)
+    n_evals = m
     alpha = alpha_init
     for _ in range(max_backtracks):
+        thetas = particles + alpha * direction
+        neglog = prior_neglog(prior, thetas)
+        budget = m * base - neglog.sum() + 1e-9 * (m * abs(base) + np.abs(neglog).sum())
         try:
-            trial = merit(particles + alpha * direction)
-            n_evals += len(particles)
+            trial = float(np.mean(potential_fn(thetas, budget) + neglog))
+            n_evals += m
         except _TRIAL_FAILURES:
             trial = np.inf
         if np.isfinite(trial) and trial < base:
@@ -171,6 +188,8 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
     ``alpha_schedule`` is given, the line search is skipped, the recorded
     step sizes are replayed, and exactly ``len(alpha_schedule)`` iterations
     run -- this pins matched trajectories for discrepancy studies.
+    Each record and the log's meta carry ``evaluations``, the growth of
+    ``backend.n_evaluations`` over the iteration and over the run.
     """
     if initial_particles is not None:
         particles = np.array(initial_particles, dtype=float)
@@ -184,6 +203,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
 
     replay = alpha_schedule is not None
     max_steps = len(alpha_schedule) if replay else config.max_steps
+    evaluations0 = backend.n_evaluations
     t = 2.0 * config.tol
     l = 0
     while l < max_steps and (replay or t > config.tol):
@@ -192,6 +212,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
             extra = hook(l, ensemble, None if l == 0 else t, log) or {}
 
         t0 = time.perf_counter()
+        n_evaluations = backend.n_evaluations
         try:
             etas, grads = backend.evaluate_batch(ensemble.particles)
         except _TRIAL_FAILURES as exc:
@@ -232,6 +253,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
 
         record = IterationRecord(
             l=l, t=t, alpha=alpha, backend=backend.descriptor,
+            evaluations=backend.n_evaluations - n_evaluations,
             clamped=n_clamped, flags=flags + extra.pop("flags", []),
             timers=dict(getattr(backend, "timers", {})) | {
                 "svgd_overhead": time.perf_counter() - t0},
@@ -242,4 +264,5 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
         l += 1
 
     log.snapshot(l, ensemble.particles)  # final (or prior-only) state
+    log.meta["evaluations"] = backend.n_evaluations - evaluations0
     return ensemble, log

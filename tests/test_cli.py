@@ -234,6 +234,36 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestEvaluationCounts:
+    def test_records_history_and_meta_agree(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", max_steps=3)
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        with open(out / "runlog.jsonl") as fh:
+            lines = [json.loads(line) for line in fh]
+        per_iteration = [rec["evaluations"] for rec in lines[1:]]
+        # a hifi iteration factorizes at every particle, then for the line search
+        assert all(n >= 2 * 4 for n in per_iteration)
+        assert lines[0]["meta"]["evaluations"] == sum(per_iteration)
+        with open(out / "history.csv") as fh:
+            assert [int(r["evaluations"]) for r in csv.DictReader(fh)] == per_iteration
+
+    def test_analyze_reads_a_log_without_counts(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        with open(out / "runlog.jsonl") as fh:
+            lines = [json.loads(line) for line in fh]
+        del lines[0]["meta"]["evaluations"]
+        for rec in lines[1:]:
+            del rec["evaluations"]
+        (out / "runlog.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
+        assert main(["analyze", str(out)]) == 0
+        with open(out / "history.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(r["evaluations"] == "" for r in rows)
+
+
 class TestAnalyze:
     def test_missing_run_dir(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope")]) == 2

@@ -176,6 +176,23 @@ class TestOperator:
             dataclasses.replace(uniform4_8, A_blocks=[uniform4_8.A_blocks[0], blk.tocsr()]
                                 + uniform4_8.A_blocks[2:])
 
+    def test_non_symmetric_block_rejected(self, uniform4_8):
+        blk = uniform4_8.A_blocks[1].copy()
+        row = np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr))
+        blk.data[np.argmax(blk.indices != row)] += 1.0  # one off-diagonal entry
+        with pytest.raises(ConfigurationError, match="symmetric"):
+            dataclasses.replace(uniform4_8, A_blocks=[uniform4_8.A_blocks[0], blk]
+                                + uniform4_8.A_blocks[2:])
+
+    def test_non_symmetric_structure_rejected(self, uniform4_8):
+        blocks = []
+        for blk in uniform4_8.A_blocks:  # one shared, non-symmetric structure
+            blk = blk.tolil()
+            blk[0, uniform4_8.n_dofs - 1] = 1.0
+            blocks.append(blk.tocsr())
+        with pytest.raises(ConfigurationError, match="symmetric"):
+            dataclasses.replace(uniform4_8, A_blocks=blocks)
+
     def test_uniform4_derivatives_are_the_mode_blocks(self, uniform4_8):
         dA, dF = uniform4_8.operator_derivatives(np.array([0.3, -1.0, 0.5, 1.2]))
         for j in range(4):

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svrb import adaptive, hifi
 from svrb.cases import assemble_problem, uniform4_case
@@ -71,6 +72,36 @@ class TestEnrich:
             sizes.append((rm.n_state, rm.n_adjoint))
             assert rm.orthonormality_error(p) < 1e-10
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+
+
+@pytest.fixture(scope="module", params=["uniform4_8", "gaussian9_9"])
+def enrich_problem(request):
+    return request.getfixturevalue(request.param)
+
+
+class TestEnrichmentSequences:
+    """Incremental block updates match a direct projection along any
+    sequence of snapshots, repeats (deflation) and arbitrary directions."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.sampled_from(["snapshot", "repeat", "random"]),
+                          min_size=1, max_size=10))
+    def test_invariants_hold_after_every_step(self, enrich_problem, seed, steps):
+        p = enrich_problem
+        rng = np.random.default_rng(seed)
+        rm = ReducedModel.empty(p)
+        u = psi = theta = None
+        for step in steps:
+            if step == "snapshot" or u is None:
+                theta = draw_coercive(p, rng, 1)[0]
+                ev = hifi.evaluate(p, theta)
+                u, psi = ev.u, ev.psi
+            elif step == "random":
+                u, psi = rng.normal(size=p.n_dofs), rng.normal(size=p.n_dofs)
+            rm.enrich(p, u, psi, theta)
+            assert rm.orthonormality_error(p) < 1e-10
+            assert rm.verify_blocks(p) < 1e-9
 
 
 class TestReducedSolves:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svrb.backends import GaussianBackend
+from svrb.backends import GaussianBackend, HiFiBackend
 from svrb.cases import StandardGaussian, UniformBox
 from svrb.fem import CoercivityLost
 from svrb.svgd import (
@@ -167,7 +167,7 @@ class TestLineSearch:
         assert alpha == 1.0 and not exhausted
 
     def test_uphill_direction_exhausts(self):
-        potential = lambda thetas: thetas[:, 0]  # merit increases for any step
+        potential = lambda thetas, budget: thetas[:, 0]  # merit increases for any step
         alpha, exhausted, _ = line_search(
             np.array([[0.0]]), np.array([[1.0]]), potential, None, 1.0,
             max_backtracks=10)
@@ -177,7 +177,7 @@ class TestLineSearch:
     def test_failing_trial_counts_as_infinite(self):
         # descent direction toward the mode at 2, but evaluations past 0.5
         # fail; the search must back off below the failure threshold
-        def guarded(thetas):
+        def guarded(thetas, budget):
             bad = thetas[:, 0] > 0.5
             if bad.any():
                 raise CoercivityLost(thetas[bad][0], -1.0, 0.0)
@@ -191,7 +191,7 @@ class TestLineSearch:
     def test_one_failing_particle_fails_the_trial(self):
         # the second particle crosses the failure threshold first; the whole
         # trial counts as infinite merit, so the step backs off for both
-        def guarded(thetas):
+        def guarded(thetas, budget):
             if np.any(thetas[:, 0] > 1.0):
                 raise CoercivityLost(thetas[0], -1.0, 0.0)
             return (thetas[:, 0] - 3.0) ** 2 / 2
@@ -202,11 +202,108 @@ class TestLineSearch:
         assert 0.9 + alpha <= 1.0
 
     def test_reference_failure_is_a_numerical_abort(self):
-        def failing(thetas):
+        def failing(thetas, budget):
             raise CoercivityLost(thetas[0], -1.0, 0.0)
 
         with pytest.raises(NumericalAbort, match="reference merit"):
             line_search(np.zeros((2, 1)), np.ones((2, 1)), failing, None, 1.0)
+
+
+class TableBackend(HiFiBackend):
+    """High-fidelity batching over a table of potentials instead of solves.
+
+    The line search below runs on particles ``[i, 0]`` along ``[0, 1]`` from
+    ``alpha = 1``, so row ``i`` of a stack at ``[i, 2**-k]`` is particle
+    ``i`` at trial ``k``; call ``0`` is the reference at the particles.
+    """
+
+    def __init__(self, table):
+        super().__init__(problem=None)
+        self.table = table
+
+    def potential(self, theta):
+        self.n_evaluations += 1
+        return self.table[_call(theta)][int(theta[0])]
+
+
+def _call(theta):
+    return 0 if theta[1] == 0 else 1 - int(np.log2(theta[1]))
+
+
+class TablePrior:
+    def __init__(self, table):
+        self.table = table
+
+    def neglog(self, thetas):
+        return self.table[_call(thetas[0])]
+
+
+class TestEarlyRejection:
+    """Stopping a trial once its potentials exceed the acceptance budget
+    changes no step size and no particle."""
+
+    @staticmethod
+    def tables(data, m, trials):
+        """Non-negative potentials and prior terms per call.  A near-tie
+        trial repeats the reference prior terms and scales the reference
+        potentials by ``1 + eps``, either row by row or lumped into the
+        first row, so that a stop can come before the last row."""
+        values = st.floats(0.0, 10.0)
+        eps = st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12, 5e-10, -5e-10,
+                               2e-9, -2e-9]) | st.floats(-1e-8, 1e-8)
+        etas = [data.draw(arrays(float, (m,), elements=values))]
+        neglogs = [data.draw(arrays(float, (m,), elements=values))]
+        for _ in range(trials):
+            kind = data.draw(st.sampled_from(["random", "scaled", "lumped"]))
+            if kind == "random":
+                etas.append(data.draw(arrays(float, (m,), elements=values)))
+                neglogs.append(data.draw(arrays(float, (m,), elements=values)))
+                continue
+            scale = 1.0 + data.draw(eps)
+            if kind == "scaled":
+                etas.append(etas[0] * scale)
+            else:
+                etas.append(np.zeros(m))
+                etas[-1][0] = etas[0].sum() * scale
+            neglogs.append(neglogs[0].copy())
+        return etas, neglogs
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), trials=st.integers(1, 6))
+    def test_same_decision_as_full_evaluation(self, data, m, trials):
+        etas, neglogs = self.tables(data, m, trials)
+        particles = np.column_stack([np.arange(m, dtype=float), np.zeros(m)])
+        direction = np.column_stack([np.zeros(m), np.ones(m)])
+        prior = TablePrior(neglogs)
+        honoured, ignored = TableBackend(etas), TableBackend(etas)
+        stopped = line_search(particles, direction, honoured.potential_batch, prior,
+                              1.0, trials)
+        full = line_search(particles, direction,
+                           lambda thetas, budget: ignored.potential_batch(thetas),
+                           prior, 1.0, trials)
+        assert stopped[:2] == full[:2]
+        assert honoured.n_evaluations <= ignored.n_evaluations
+
+    def test_hifi_run_is_bitwise_unchanged_with_fewer_factorizations(
+            self, gaussian9_9, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        class IgnoresBudget(HiFiBackend):
+            def potential_batch(self, thetas, budget=np.inf):
+                return super().potential_batch(thetas)
+
+        splu, calls = spla.splu, []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        cfg = SVGDConfig(n_particles=4, max_steps=3, tol=1e-12, seed=0)
+        runs = []
+        for backend in (HiFiBackend(gaussian9_9), IgnoresBudget(gaussian9_9)):
+            del calls[:]
+            ens, log = svgd_run(backend, gaussian9_9.prior, cfg)
+            runs.append((ens.particles, log.alphas, len(calls)))
+        (honoured, alphas, n_honoured), (ignored, alphas_full, n_ignored) = runs
+        assert np.array_equal(honoured, ignored)
+        assert alphas == alphas_full
+        assert n_honoured < n_ignored
 
 
 class TestRun:
