@@ -11,20 +11,11 @@ import numpy as np
 from svrb.adaptive import greedy_sweep, initialize
 from svrb.cases import assemble_problem, uniform4_case
 from svrb.errorlab import bound_constants, kl_bound_estimate, verify_bounds
-from svrb.fem import CoercivityLost
+from svrb.verify import draw_coercive
 
 problem = assemble_problem(uniform4_case(16))
-rng = np.random.default_rng(3)
-
-thetas = []
-while len(thetas) < 32:
-    candidate = problem.prior.sample(rng, 1)[0]
-    try:
-        problem.check_coercive(candidate)
-    except CoercivityLost:
-        continue
-    thetas.append(candidate)
-train, held_out = np.array(thetas[:24]), np.array(thetas[24:])
+thetas = draw_coercive(problem, np.random.default_rng(3), 32)
+train, held_out = thetas[:24], thetas[24:]
 
 model = initialize(problem, train[0])
 sweep = greedy_sweep(model, problem, train, tol=1e-4)

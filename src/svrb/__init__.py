@@ -28,7 +28,6 @@ from .svgd import (
     NumericalAbort,
     ParticleEnsemble,
     SVGDConfig,
-    kernel_and_grad,
     line_search,
     median_bandwidth,
     prior_score,
@@ -69,7 +68,6 @@ __all__ = [
     "gaussian9_case",
     "greedy_sweep",
     "initialize",
-    "kernel_and_grad",
     "line_search",
     "median_bandwidth",
     "prior_score",

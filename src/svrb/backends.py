@@ -73,30 +73,18 @@ class HiFiBackend:
         return etas
 
 
-class _Broadcasting:
-    """Backends whose :meth:`evaluate` and :meth:`potential` take a whole stack.
-
-    The batch methods look the single methods up at call time, so a wrapper
-    installed on the class sees every batch.  The stack is evaluated in one
-    pass, so :meth:`potential_batch` ignores its ``budget``; a corrected
-    reduced potential can be negative, which would void it anyway.
-    """
-
-    def evaluate_batch(self, thetas):
-        return self.evaluate(np.atleast_2d(thetas))
-
-    def potential_batch(self, thetas, budget=np.inf):
-        return self.potential(np.atleast_2d(thetas))
-
-
-class RBBackend(_Broadcasting):
+class RBBackend:
     """Reduced-basis evaluations of the corrected potential and gradient.
 
     The same instance serves both the fixed and the adaptive pipeline; the
     adaptive driver enriches ``self.model`` between sweeps.  ``evaluate``
     and ``potential`` take one parameter or a stack, and both first pass
     the stack through :meth:`~svrb.fem.AffineParametricProblem.check_coercive`;
-    the guard and the online pass share one coefficient evaluation.
+    the guard and the online pass share one coefficient evaluation.  The
+    batch methods call them on the whole stack, so a wrapper installed on
+    the class sees every batch.  The stack is evaluated in one pass, so
+    :meth:`potential_batch` ignores its ``budget``; a corrected reduced
+    potential can be negative, which would void it anyway.
     """
 
     def __init__(self, problem, model, adaptive=False):
@@ -124,8 +112,14 @@ class RBBackend(_Broadcasting):
     def potential(self, theta):
         return self._online(self.model.potential, theta)[1]  # the corrected potential
 
+    def evaluate_batch(self, thetas):
+        return self.evaluate(np.atleast_2d(thetas))
 
-class GaussianBackend(_Broadcasting):
+    def potential_batch(self, thetas, budget=np.inf):
+        return self.potential(np.atleast_2d(thetas))
+
+
+class GaussianBackend:
     """Analytic Gaussian potential ``0.5 * ||theta - mean||^2`` for tests."""
 
     descriptor = "gaussian-toy"
@@ -135,10 +129,10 @@ class GaussianBackend(_Broadcasting):
         self.timers = {}
         self.n_evaluations = 0
 
-    def evaluate(self, theta):
-        diff = np.asarray(theta, dtype=float) - self.mean
-        self.n_evaluations += len(np.atleast_2d(diff))
-        return 0.5 * np.einsum("...i,...i->...", diff, diff), diff
+    def evaluate_batch(self, thetas):
+        diff = np.atleast_2d(thetas) - self.mean
+        self.n_evaluations += len(diff)
+        return 0.5 * np.einsum("mi,mi->m", diff, diff), diff
 
-    def potential(self, theta):
-        return self.evaluate(theta)[0]
+    def potential_batch(self, thetas, budget=np.inf):
+        return self.evaluate_batch(thetas)[0]

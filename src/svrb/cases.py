@@ -268,6 +268,12 @@ def assemble_problem(case):
     theta_ref = np.asarray(
         case.theta_ref if case.theta_ref is not None else np.ones(d), dtype=float
     )
+    theta_data = np.asarray(
+        case.theta_data if case.theta_data is not None else theta_ref, dtype=float
+    )
+    if theta_ref.shape != (d,) or theta_data.shape != (d,):
+        raise ConfigurationError(f"theta_ref and theta_data need {d} components, "
+                                 f"not {theta_ref.shape} and {theta_data.shape}")
     for term in case.diffusion + case.load:
         if term.c is None or term.dc is None:
             raise UnsupportedCoefficient(
@@ -300,10 +306,6 @@ def assemble_problem(case):
 
     gram = constrain(
         fem._assemble_weighted_stiffness(mesh, _tri_areas(mesh)) + fem._assemble_mass(mesh)
-    )
-
-    theta_data = np.asarray(
-        case.theta_data if case.theta_data is not None else theta_ref, dtype=float
     )
 
     problem = fem.AffineParametricProblem(

@@ -289,8 +289,6 @@ def main(argv=None):
         cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
         cfg = _apply_overrides(cfg, args)
         _validate(cfg)  # flags bypass the check in from_dict
-        if cfg.output_dir is None:
-            cfg.output_dir = "runs/out"
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "bench":

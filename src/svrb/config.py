@@ -1,7 +1,16 @@
-"""Experiment configuration: JSON schema, validation, CLI overrides."""
+"""Experiment configuration: JSON schema, validation, CLI overrides.
 
+The dataclasses are the schema: their fields are the accepted keys and
+their annotations the accepted types; ``_CASE_TYPES`` is the same for the
+``case`` object.
+"""
+
+import copy
 import json
-from dataclasses import dataclass, field
+import sys
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 from .cases import gaussian9_case, uniform4_case
 
@@ -12,12 +21,10 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
-_CASE_KEYS = {"name", "n", "obs_grid", "noise_scale", "noise_sigma", "noise_seed",
-              "data_noise", "theta_ref", "theta_data", "coercivity_floor", "module"}
-_BACKEND_KEYS = {"kind", "tol", "eps0", "update_every", "rule", "eps_min", "max_basis"}
-_TOP_KEYS = {"schema_version", "case", "particles", "max_steps", "svgd_tol",
-             "alpha_init", "max_backtracks", "seed", "backend", "output_dir",
-             "dump_matrices", "save_rb", "load_rb"}
+_CASE_TYPES = {"name": str, "n": int, "obs_grid": int, "noise_scale": float,
+               "noise_sigma": float | None, "noise_seed": int, "data_noise": bool,
+               "theta_ref": list[float] | None, "theta_data": list[float] | None,
+               "coercivity_floor": float, "module": str}
 
 
 @dataclass
@@ -25,7 +32,7 @@ class BackendConfig:
     kind: str = "hifi"              # hifi | rb-fixed | rb-adaptive
     tol: float = 1e-5               # greedy tolerance for rb-fixed
     eps0: float = 0.1               # initial tolerance for rb-adaptive
-    update_every: int = 10
+    update_every: int | None = 10   # None: never sweep
     rule: str = "normalized"
     eps_min: float = 1e-12
     max_basis: int = 500
@@ -43,33 +50,22 @@ class ExperimentConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
     output_dir: str = "runs/out"
     dump_matrices: bool = False
-    save_rb: str = None
-    load_rb: str = None
+    save_rb: str | None = None
+    load_rb: str | None = None
 
     @classmethod
     def from_dict(cls, raw):
-        raw = dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config is a JSON object, not {raw!r}")
+        raw = copy.deepcopy(raw)
         version = raw.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
+        if not _accepts(int, version) or version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
-        unknown = set(raw) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls()
-        if "case" in raw:
-            case = dict(raw.pop("case"))
-            bad = set(case) - _CASE_KEYS
-            if bad:
-                raise ConfigError(f"unknown case keys: {sorted(bad)}")
-            cfg.case = case
-        if "backend" in raw:
-            backend = dict(raw.pop("backend"))
-            bad = set(backend) - _BACKEND_KEYS
-            if bad:
-                raise ConfigError(f"unknown backend keys: {sorted(bad)}")
-            cfg.backend = BackendConfig(**backend)
-        for key, value in raw.items():
-            setattr(cfg, key, value)
+        if isinstance(raw.get("backend"), dict):
+            _check(raw["backend"], _BACKEND_TYPES, "backend")
+            raw["backend"] = BackendConfig(**raw["backend"])
+        _check(raw, _TOP_TYPES, "config")
+        cfg = cls(**raw)
         _validate(cfg)
         return cfg
 
@@ -83,21 +79,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "case": self.case,
-            "particles": self.particles,
-            "max_steps": self.max_steps,
-            "svgd_tol": self.svgd_tol,
-            "alpha_init": self.alpha_init,
-            "max_backtracks": self.max_backtracks,
-            "seed": self.seed,
-            "backend": vars(self.backend),
-            "output_dir": self.output_dir,
-            "dump_matrices": self.dump_matrices,
-            "save_rb": self.save_rb,
-            "load_rb": self.load_rb,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def build_case(self):
         case = dict(self.case)
@@ -123,27 +105,71 @@ def _load_custom_case(case):
     if spec is None:
         raise ConfigError(f"cannot import custom case module {path}")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except OSError as exc:
+        raise ConfigError(f"cannot read custom case module {path}: {exc}") from exc
     if not hasattr(module, "build_case"):
         raise ConfigError(f"custom case module {path} has no build_case()")
     return module.build_case()
 
 
+_TOP_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_BACKEND_TYPES = {f.name: f.type for f in fields(BackendConfig)}
+
+
+def _accepts(kind, value):
+    """``isinstance`` for JSON values: an int counts as a float, a bool as
+    neither, a number must be finite as a float, and ``list[float]`` checks
+    each item."""
+    if isinstance(kind, types.UnionType):
+        return any(_accepts(k, value) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        return isinstance(value, list) and all(_accepts(item, v) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _check(values, schema, what):
+    """Reject keys ``schema`` does not list and values of other types."""
+    unknown = set(values) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in values.items():
+        if not _accepts(schema[key], value):
+            kind = getattr(schema[key], "__name__", schema[key])
+            raise ConfigError(f"{what} key {key!r} must be {kind}, not {value!r}")
+
+
 def _validate(cfg):
-    """Reject values no run can use; the CLI checks again after flag overrides."""
-    if cfg.particles < 1:
-        raise ConfigError("particles must be >= 1")
-    if cfg.max_steps < 0:
-        raise ConfigError("max_steps must be >= 0")
-    if cfg.svgd_tol < 0:
-        raise ConfigError("svgd_tol must be >= 0")
-    if cfg.backend.tol < 0:
-        raise ConfigError("backend tol must be >= 0")
-    if cfg.backend.eps0 <= 0:
-        raise ConfigError("eps0 must be positive")
-    if cfg.backend.update_every is not None and cfg.backend.update_every < 1:
-        raise ConfigError("update_every must be >= 1")
-    if cfg.backend.kind not in ("hifi", "rb-fixed", "rb-adaptive"):
-        raise ConfigError(f"unknown backend kind {cfg.backend.kind!r}")
-    if cfg.backend.rule not in ("normalized", "absolute"):
-        raise ConfigError(f"unknown tolerance rule {cfg.backend.rule!r}")
+    """Reject keys, types and values no run can use; the CLI checks again
+    after flag overrides."""
+    _check(vars(cfg), _TOP_TYPES, "config")
+    _check(vars(cfg.backend), _BACKEND_TYPES, "backend")
+    _check(cfg.case, _CASE_TYPES, "case")
+    b, case = cfg.backend, cfg.case
+    for ok, message in (
+        (cfg.particles >= 1, "particles must be >= 1"),
+        (cfg.max_steps >= 0, "max_steps must be >= 0"),
+        (cfg.svgd_tol >= 0, "svgd_tol must be >= 0"),
+        (cfg.alpha_init > 0, "alpha_init must be positive"),
+        (cfg.max_backtracks >= 1, "max_backtracks must be >= 1"),
+        (cfg.seed >= 0, "seed must be >= 0"),
+        (b.kind in ("hifi", "rb-fixed", "rb-adaptive"), f"unknown backend kind {b.kind!r}"),
+        (b.tol >= 0, "backend tol must be >= 0"),
+        (b.eps0 > 0, "eps0 must be positive"),
+        (b.update_every is None or b.update_every >= 1, "update_every must be >= 1"),
+        (b.rule in ("normalized", "absolute"), f"unknown tolerance rule {b.rule!r}"),
+        (b.eps_min >= 0, "eps_min must be >= 0"),
+        (b.max_basis >= 1, "max_basis must be >= 1"),
+        (case.get("n", 1) >= 1, "case n must be >= 1"),
+        (case.get("obs_grid", 1) >= 1, "case obs_grid must be >= 1"),
+        (case.get("noise_seed", 0) >= 0, "case noise_seed must be >= 0"),
+        (case.get("coercivity_floor", 0) >= 0, "case coercivity_floor must be >= 0"),
+    ):
+        if not ok:
+            raise ConfigError(message)

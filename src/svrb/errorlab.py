@@ -8,11 +8,12 @@ evaluated with both sides made explicit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hifi
+from .reduced import ReducedModel
 
 # Poincare constant of the unit square with Dirichlet data on two opposite
 # sides: ||w||_{L2} <= (1/pi) |w|_{H1}.  Used to pass from the seminorm
@@ -27,12 +28,7 @@ class ConstantsBundle:
     alpha: float
     gamma: float
     rho: np.ndarray
-    F_dual: float
     dF_dual: np.ndarray
-    O_dual: float
-    o_dual: np.ndarray = field(repr=False)
-    gamma_inv_norm: float
-    y_norm: float
     C_u: float
     C_psi: float
     C_y: float
@@ -46,30 +42,27 @@ class ConstantsBundle:
 class ErrorReport:
     """Exact reduced-basis errors and residual norms at one parameter."""
 
-    theta: np.ndarray
     e_u_V: float
     e_psi_V: float
     e_eta: float
     e_delta: float
-    dwr: float
     eta_h: float
-    grad_e_eta_l1: float = None
-    grad_e_delta_l1: float = None
-    res_u_dual: float = None
-    res_psi_dual: float = None
-    res_u_j_dual: np.ndarray = None
-    res_psi_j_dual: np.ndarray = None
-    grad_e_u_Vd: float = None
-    grad_e_psi_Vd: float = None
-    u_h_V: float = None
-    psi_h_V: float = None
-    u_r_V: float = None
-    psi_r_V: float = None
-    grad_u_h_Vd: float = None
-    grad_u_r_Vd: float = None
-    grad_psi_h_Vd: float = None
-    grad_psi_r_Vd: float = None
-    constants: ConstantsBundle = None
+    grad_e_eta_l1: float
+    grad_e_delta_l1: float
+    res_u_dual: float
+    res_psi_dual: float
+    res_u_j_dual: np.ndarray
+    res_psi_j_dual: np.ndarray
+    grad_e_u_Vd: float
+    grad_e_psi_Vd: float
+    u_h_V: float
+    psi_h_V: float
+    u_r_V: float
+    psi_r_V: float
+    grad_u_h_Vd: float
+    grad_u_r_Vd: float
+    grad_psi_h_Vd: float
+    grad_psi_r_Vd: float
 
 
 @dataclass
@@ -86,7 +79,6 @@ class BoundCheck:
 
 @dataclass
 class BoundReport:
-    theta: np.ndarray
     checks: list
 
     @property
@@ -130,12 +122,7 @@ def bound_constants(problem, theta):
         alpha=alpha,
         gamma=gamma,
         rho=rho,
-        F_dual=F_dual,
         dF_dual=dF_dual,
-        O_dual=O_dual,
-        o_dual=o_dual,
-        gamma_inv_norm=gamma_inv_norm,
-        y_norm=y_norm,
         C_u=C_u,
         C_psi=C_psi,
         C_y=C_y,
@@ -153,14 +140,10 @@ def rb_sensitivities(rm, problem, theta, u_r, psi_r):
     # the derivative operators are the same affine sums over the coefficient gradients
     _, _, dcA, dcF = coeffs
     dAu, dAp, dfu, _ = rm._online_operators(problem, theta, (dcA.T, dcF.T, None, None))
-    d = problem.dim
-    du = np.empty((d, rm.n_state))
-    dpsi = np.empty((d, rm.n_adjoint))
-    for j in range(d):
-        du[j] = np.linalg.solve(Au, dfu[j] - dAu[j] @ u_r)
-        rhs_p = -(dAp[j].T @ psi_r) - rm.Op @ problem.misfit_weighted(rm.Ou.T @ du[j])
-        dpsi[j] = np.linalg.solve(Ap.T, rhs_p)
-    return du, dpsi
+    # one solve per system, the d parameter directions as right-hand sides
+    du = np.linalg.solve(Au, (dfu - dAu @ u_r).T).T
+    rhs_p = -(np.swapaxes(dAp, 1, 2) @ psi_r) - problem.misfit_weighted(du @ rm.Ou) @ rm.Op.T
+    return du, np.linalg.solve(Ap.T, rhs_p.T).T
 
 
 def residual_vectors(problem, rm, theta, u_r_full, psi_r_full,
@@ -189,69 +172,72 @@ def residual_vectors(problem, rm, theta, u_r_full, psi_r_full,
     return r_u, r_psi, r_u_j, r_psi_j
 
 
-def true_errors(problem, rm, theta, with_gradients=True, constants=True):
-    """High-fidelity vs reduced errors and residual norms at one parameter."""
-    theta = np.asarray(theta, dtype=float)
-    op = hifi.Factorization(problem, theta)
-    h = hifi.evaluate(problem, theta, op)
-    u_h, psi_h, eta_h = h.u, h.psi, h.eta
+def compare(problem, rm, theta, u_h, psi_h):
+    """The reduced model against given high-fidelity fields.
+
+    ``theta`` is one parameter ``(d,)`` or a stack ``(M, d)``, and ``u_h``,
+    ``psi_h`` are the high-fidelity state and adjoint there, ``(N,)`` or
+    ``(M, N)``.  One reduced evaluation, its state and adjoint lifted to the
+    full space, and their errors: returns ``(ev, u_r, psi_r, e_u, e_psi)``
+    with ``e_u = u_h - u_r`` and ``e_psi = psi_h - psi_r``.
+    """
     ev = rm.evaluate(problem, theta)
     u_r = rm.reconstruct(ev.u_r, "state")
     psi_r = rm.reconstruct(ev.psi_r, "adjoint")
+    return ev, u_r, psi_r, u_h - u_r, psi_h - psi_r
 
-    report = ErrorReport(
-        theta=theta,
-        e_u_V=problem.v_norm(u_h - u_r),
-        e_psi_V=problem.v_norm(psi_h - psi_r),
-        e_eta=eta_h - ev.eta_r,
-        e_delta=eta_h - ev.eta_delta,
-        dwr=ev.delta,
-        eta_h=eta_h,
-        u_h_V=problem.v_norm(u_h),
-        psi_h_V=problem.v_norm(psi_h),
-        u_r_V=problem.v_norm(u_r),
-        psi_r_V=problem.v_norm(psi_r),
-    )
 
-    du_r_full = dpsi_r_full = None
-    if with_gradients:
-        grad_h = h.grad_eta
-        du_h, dpsi_h = hifi.solve_sensitivities(problem, theta, u_h, psi_h, op)
-        du_r, dpsi_r = rb_sensitivities(rm, problem, theta, ev.u_r, ev.psi_r)
-        du_r_full = du_r @ rm.basis_u.T
-        dpsi_r_full = dpsi_r @ rm.basis_psi.T
-        # True derivative of the plain reduced potential (chain rule through
-        # the reduced sensitivities); the adjoint shortcut is only exact when
-        # the state and adjoint bases span the same space.
-        misfit_r = problem.misfit_weighted(problem.y - rm.Ou.T @ ev.u_r)
-        grad_r_true = np.array([
-            -float(misfit_r @ (rm.Ou.T @ du_r[j])) for j in range(problem.dim)
-        ])
-        report.grad_e_eta_l1 = float(np.abs(grad_h - grad_r_true).sum())
-        report.grad_e_delta_l1 = float(np.abs(grad_h - ev.grad_eta_delta).sum())
-        report.grad_e_u_Vd = sum(problem.v_norm(du_h[j] - du_r_full[j])
-                                 for j in range(problem.dim))
-        report.grad_e_psi_Vd = sum(problem.v_norm(dpsi_h[j] - dpsi_r_full[j])
-                                   for j in range(problem.dim))
-        report.grad_u_h_Vd = sum(problem.v_norm(du_h[j]) for j in range(problem.dim))
-        report.grad_u_r_Vd = sum(problem.v_norm(du_r_full[j]) for j in range(problem.dim))
-        report.grad_psi_h_Vd = sum(problem.v_norm(dpsi_h[j]) for j in range(problem.dim))
-        report.grad_psi_r_Vd = sum(problem.v_norm(dpsi_r_full[j]) for j in range(problem.dim))
-
+def true_errors(problem, rm, theta):
+    """High-fidelity vs reduced errors, their parameter derivatives, and
+    residual norms at one parameter."""
+    theta = np.asarray(theta, dtype=float)
+    op = hifi.Factorization(problem, theta)
+    h = hifi.evaluate(problem, theta, op)
+    ev, u_r, psi_r, e_u, e_psi = compare(problem, rm, theta, h.u, h.psi)
+    du_h, dpsi_h = hifi.solve_sensitivities(problem, theta, h.u, h.psi, op)
+    du_r, dpsi_r = rb_sensitivities(rm, problem, theta, ev.u_r, ev.psi_r)
+    du_r_full = rm.reconstruct(du_r, "state")
+    dpsi_r_full = rm.reconstruct(dpsi_r, "adjoint")
+    # True derivative of the plain reduced potential (chain rule through
+    # the reduced sensitivities); the adjoint shortcut is only exact when
+    # the state and adjoint bases span the same space.
+    misfit_r = problem.misfit_weighted(problem.y - rm.Ou.T @ ev.u_r)
+    grad_r_true = -(du_r @ rm.Ou) @ misfit_r
     r_u, r_psi, r_u_j, r_psi_j = residual_vectors(
         problem, rm, theta, u_r, psi_r, du_r_full, dpsi_r_full)
-    report.res_u_dual = problem.dual_norm(r_u)
-    report.res_psi_dual = problem.dual_norm(r_psi)
-    if r_u_j is not None:
-        report.res_u_j_dual = np.array([problem.dual_norm(r) for r in r_u_j])
-        report.res_psi_j_dual = np.array([problem.dual_norm(r) for r in r_psi_j])
 
-    if constants:
-        report.constants = bound_constants(problem, theta)
-    return report
+    def v_sum(vectors):  # summed over the parameter derivatives
+        return sum(problem.v_norm(v) for v in vectors)
+
+    def duals(functionals):
+        return np.array([problem.dual_norm(r) for r in functionals])
+
+    return ErrorReport(
+        e_u_V=problem.v_norm(e_u),
+        e_psi_V=problem.v_norm(e_psi),
+        e_eta=h.eta - ev.eta_r,
+        e_delta=h.eta - ev.eta_delta,
+        eta_h=h.eta,
+        grad_e_eta_l1=float(np.abs(h.grad_eta - grad_r_true).sum()),
+        grad_e_delta_l1=float(np.abs(h.grad_eta - ev.grad_eta_delta).sum()),
+        res_u_dual=problem.dual_norm(r_u),
+        res_psi_dual=problem.dual_norm(r_psi),
+        res_u_j_dual=duals(r_u_j),
+        res_psi_j_dual=duals(r_psi_j),
+        grad_e_u_Vd=v_sum(du_h - du_r_full),
+        grad_e_psi_Vd=v_sum(dpsi_h - dpsi_r_full),
+        u_h_V=problem.v_norm(h.u),
+        psi_h_V=problem.v_norm(h.psi),
+        u_r_V=problem.v_norm(u_r),
+        psi_r_V=problem.v_norm(psi_r),
+        grad_u_h_Vd=v_sum(du_h),
+        grad_u_r_Vd=v_sum(du_r_full),
+        grad_psi_h_Vd=v_sum(dpsi_h),
+        grad_psi_r_Vd=v_sum(dpsi_r_full),
+    )
 
 
-def verify_bounds(problem, rm, theta, constants=None, report=None):
+def verify_bounds(problem, rm, theta):
     """Evaluate both sides of every a-posteriori inequality at ``theta``.
 
     Each check carries an absolute floor at the roundoff level of its
@@ -259,9 +245,8 @@ def verify_bounds(problem, rm, theta, constants=None, report=None):
     and the floor keeps cancellation noise from drowning products of
     machine-size errors.
     """
-    if report is None:
-        report = true_errors(problem, rm, theta, with_gradients=True, constants=False)
-    c = constants if constants is not None else bound_constants(problem, theta)
+    report = true_errors(problem, rm, theta)
+    c = bound_constants(problem, theta)
     rho_sum = float(c.rho.sum())
     d = problem.dim
     floor = 1e-9 * max(1.0, abs(report.eta_h))
@@ -357,7 +342,7 @@ def verify_bounds(problem, rm, theta, constants=None, report=None):
             + c.C_alpha_gamma_O * report.res_u_dual**2,
         ),
     ]
-    return BoundReport(theta=np.asarray(theta, dtype=float), checks=checks)
+    return BoundReport(checks=checks)
 
 
 def kl_terms(e):
@@ -371,14 +356,15 @@ def kl_bound_estimate(problem, rm, reference_samples):
     """Monte Carlo estimate of the posterior-divergence bound terms.
 
     Averages :func:`kl_terms` over the given samples, for the plain and the
-    corrected potential error; the divergence itself is not estimated.
+    corrected potential error; the divergence itself is not estimated.  Only
+    potentials enter: one high-fidelity state solve per sample and one
+    reduced pass over the whole stack.
     """
-    terms_r, terms_d = [], []
-    for theta in np.atleast_2d(reference_samples):
-        rep = true_errors(problem, rm, theta, with_gradients=False, constants=False)
-        terms_r.append(kl_terms(rep.e_eta))
-        terms_d.append(kl_terms(rep.e_delta))
-    return float(np.mean(terms_r)), float(np.mean(terms_d))
+    samples = np.atleast_2d(reference_samples)
+    eta_h = np.array([hifi.potential(problem, theta)[0] for theta in samples])
+    eta_r, eta_delta, _, _ = rm.potential(problem, samples)
+    return (float(np.mean([kl_terms(e) for e in eta_h - eta_r])),
+            float(np.mean([kl_terms(e) for e in eta_h - eta_delta])))
 
 
 def sample_discrepancy(traj_a, traj_b):
@@ -402,37 +388,29 @@ def error_decay_study(problem, snapshots, eval_thetas):
     Rebuilds the reduced model snapshot by snapshot (in the given order) and
     reports, per stage, sample means over ``eval_thetas`` of the potential
     errors, the indicator, and the bound surrogates.  High-fidelity
-    references are computed once.  Returns a list of row dicts.
+    references are computed once; each stage is one :func:`compare` over
+    the whole stack.  Returns a list of row dicts.
     """
-    from .reduced import ReducedModel
-
     eval_thetas = np.atleast_2d(eval_thetas)
     refs = [hifi.evaluate(problem, theta) for theta in eval_thetas]
+    u_h, psi_h = np.array([h.u for h in refs]), np.array([h.psi for h in refs])
+    eta_h = np.array([h.eta for h in refs])
 
     rm = ReducedModel.empty(problem)
     rows = []
     for theta_snap in snapshots:
         ev_snap = hifi.evaluate(problem, theta_snap)
         rm.enrich(problem, ev_snap.u, ev_snap.psi, theta_snap)
-        e_eta, e_delta, dwr_abs, bound_eta, bound_delta = [], [], [], [], []
-        for theta, h in zip(eval_thetas, refs):
-            ev = rm.evaluate(problem, theta)
-            u_r = rm.reconstruct(ev.u_r, "state")
-            psi_r = rm.reconstruct(ev.psi_r, "adjoint")
-            e_u = problem.v_norm(h.u - u_r)
-            e_psi = problem.v_norm(h.psi - psi_r)
-            e_eta.append(abs(h.eta - ev.eta_r))
-            e_delta.append(abs(h.eta - ev.eta_delta))
-            dwr_abs.append(abs(ev.delta))
-            bound_eta.append(e_u)
-            bound_delta.append(e_u * e_psi)
+        ev, _, _, e_u, e_psi = compare(problem, rm, eval_thetas, u_h, psi_h)
+        e_u_V = np.array([problem.v_norm(e) for e in e_u])
+        e_psi_V = np.array([problem.v_norm(e) for e in e_psi])
         rows.append({
             "n_state": rm.n_state,
             "n_adjoint": rm.n_adjoint,
-            "mean_abs_e_eta": float(np.mean(e_eta)),
-            "mean_abs_e_delta": float(np.mean(e_delta)),
-            "mean_abs_dwr": float(np.mean(dwr_abs)),
-            "mean_e_u_V": float(np.mean(bound_eta)),
-            "mean_e_u_e_psi": float(np.mean(bound_delta)),
+            "mean_abs_e_eta": float(np.mean(np.abs(eta_h - ev.eta_r))),
+            "mean_abs_e_delta": float(np.mean(np.abs(eta_h - ev.eta_delta))),
+            "mean_abs_dwr": float(np.mean(np.abs(ev.delta))),
+            "mean_e_u_V": float(np.mean(e_u_V)),
+            "mean_e_u_e_psi": float(np.mean(e_u_V * e_psi_V)),
         })
     return rows

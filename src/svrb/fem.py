@@ -440,14 +440,6 @@ class AffineParametricProblem:
             ])
         return self._obs_dual
 
-    # -- constrained/full vector transfer --------------------------------
-
-    def embed(self, v_free):
-        """Zero-extend a constrained vector to all grid nodes."""
-        full = np.zeros(self.n_dofs_raw)
-        full[self.free_dofs] = v_free
-        return full
-
     # -- observation ------------------------------------------------------
 
     def observe(self, u):

@@ -335,9 +335,10 @@ class ReducedModel:
         return RBEvaluation(**{k: _unstack(v, single) for k, v in fields.items()})
 
     def reconstruct(self, coeffs, which="state"):
-        """Lift reduced coefficients back to the high-fidelity space."""
+        """Lift reduced coefficients ``(N_r,)``, or one row each ``(M, N_r)``,
+        back to the high-fidelity space."""
         basis = self.basis_u if which == "state" else self.basis_psi
-        return basis @ coeffs
+        return coeffs @ basis.T
 
     # -- diagnostics -------------------------------------------------------
 

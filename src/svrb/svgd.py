@@ -89,14 +89,6 @@ def median_bandwidth(particles):
     return med**2 / logm
 
 
-def kernel_and_grad(theta, theta_other, h):
-    """RBF kernel value and its gradient with respect to the first argument."""
-    theta = np.asarray(theta, dtype=float)
-    diff = theta - np.asarray(theta_other, dtype=float)
-    k = np.exp(-np.sum(diff**2) / h)
-    return k, -(2.0 / h) * diff * k
-
-
 def svgd_direction(particles, scores, h):
     """Sample-average Stein direction at every particle.
 

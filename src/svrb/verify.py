@@ -78,22 +78,17 @@ def dwr_identity_gap(problem, rm, theta):
     adjoint, and the second compares the corrected-potential error with its
     exact quadratic expansion.
     """
-    ev = rm.evaluate(problem, theta)
     h = hifi.evaluate(problem, theta)
-    eta_h = h.eta
-    u_r = rm.reconstruct(ev.u_r, "state")
-    psi_r = rm.reconstruct(ev.psi_r, "adjoint")
-    e_u = h.u - u_r
-    e_psi = h.psi - psi_r
+    ev, u_r, psi_r, e_u, e_psi = errorlab.compare(problem, rm, theta, h.u, h.psi)
     A, _ = problem.operator(theta)
 
     paired = -float(psi_r @ (A @ e_u))
-    scale = abs(float(psi_r @ (A @ u_r))) + abs(ev.eta_r) + abs(eta_h) + 1e-300
+    scale = abs(float(psi_r @ (A @ u_r))) + abs(ev.eta_r) + abs(h.eta) + 1e-300
     gap_dwr = abs(ev.delta - paired) / max(abs(ev.delta), abs(paired), scale * 1e-3)
 
     obs_e = problem.observe(e_u)
     quad = -float(e_psi @ (A @ e_u)) - 0.5 * float(obs_e @ problem.misfit_weighted(obs_e))
-    e_delta = eta_h - ev.eta_delta
+    e_delta = h.eta - ev.eta_delta
     gap_corr = abs(e_delta - quad) / max(abs(e_delta), abs(quad), scale * 1e-3)
     return gap_dwr, gap_corr
 

@@ -45,6 +45,13 @@ def rb_uniform4_16(uniform4_16):
     return build_small_rb(uniform4_16, np.random.default_rng(11), 5)
 
 
+def embed(problem, v_free):
+    """Zero-extend a constrained vector to all grid nodes."""
+    full = np.zeros(problem.n_dofs_raw)
+    full[problem.free_dofs] = v_free
+    return full
+
+
 def manufactured_case(n):
     """Unit diffusivity with the source term matching u = sin(pi * x2)."""
     return custom_case(

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import re
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svrb.cases import assemble_problem, uniform4_case
 from svrb.cli import main, speedup_ratio
@@ -28,6 +33,17 @@ def write_config(path, **overrides):
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     return path
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _documented_configs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    with open(os.path.join(ROOT, "perfbench", "spec.json")) as fh:
+        workloads = json.load(fh)["workloads"]
+    return [json.loads(b) for b in blocks] + [w["config"] for w in workloads.values()]
 
 
 class TestConfig:
@@ -63,6 +79,98 @@ class TestConfig:
         })
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("bad", [
+        {"particles": "x"}, {"particles": 2.5}, {"particles": True},
+        {"svgd_tol": "1e-3"}, {"seed": -1}, {"save_rb": 5},
+        {"case": {"n": "a"}}, {"case": {"n": 2.5}}, {"case": {"obs_grid": 0}},
+        {"case": {"noise_seed": -5}}, {"case": {"coercivity_floor": "x"}},
+        {"case": {"theta_data": [1, 2]}}, {"case": "uniform4"}, [1, 2],
+        {"alpha_init": -1}, {"max_backtracks": -3}, {"case": {"data_noise": "no"}},
+        {"case": {"name": "custom", "module": "/nonexistent/case.py"}},
+        {"schema_version": True},
+    ], ids=lambda bad: json.dumps(bad))
+    def test_malformed_value_exits_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "c.json"
+        if isinstance(bad, dict):
+            case = bad.get("case")
+            if isinstance(case, dict):
+                bad = dict(bad, case={"name": "uniform4", "n": 8, **case})
+            write_config(path, **bad)
+        else:
+            path.write_text(json.dumps(bad))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", _documented_configs())
+    def test_documented_configs_load(self, raw):
+        cfg = ExperimentConfig.from_dict(raw)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# every value a fuzzed run can accept keeps it tiny: n <= 6, particles <= 3, max_steps <= 1
+_FUZZ_CASE = st.fixed_dictionaries({}, optional={
+    "name": st.sampled_from(["uniform4", "gaussian9", "custom", "bogus"]),
+    "n": st.integers(-1, 6),
+    "obs_grid": st.integers(0, 4),
+    "noise_scale": st.sampled_from([-0.1, 0, 0.01, 1.0]),
+    "noise_sigma": st.sampled_from([None, 0.0, 0.01, -1.0]),
+    "noise_seed": st.integers(-2, 5),
+    "data_noise": st.booleans(),
+    "theta_ref": st.lists(st.floats(-1.5, 1.5), max_size=5),
+    "theta_data": st.lists(st.floats(-1.5, 1.5), max_size=5),
+    "coercivity_floor": st.sampled_from([-1.0, 0.0, 1e-8, 0.5]),
+    "module": st.just("/nonexistent/case.py"),
+})
+_FUZZ_BACKEND = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["hifi", "rb-fixed", "rb-adaptive", "magic"]),
+    "tol": st.sampled_from([-1.0, 0.0, 1e-3, 1.0]),
+    "eps0": st.sampled_from([-1.0, 0.0, 0.01, 1.0]),
+    "update_every": st.sampled_from([None, 0, 1, 2]),
+    "rule": st.sampled_from(["normalized", "absolute", "bogus"]),
+    "eps_min": st.sampled_from([-1.0, 0.0, 1e-12]),
+    "max_basis": st.integers(0, 50),
+})
+_FUZZ_CONFIG = st.fixed_dictionaries({}, optional={
+    "case": _FUZZ_CASE,
+    "backend": _FUZZ_BACKEND,
+    "particles": st.integers(-1, 3),
+    "max_steps": st.integers(-1, 1),
+    "svgd_tol": st.sampled_from([-1.0, 0.0, 1e-3, 10.0]),
+    "alpha_init": st.sampled_from([-1.0, 0.0, 0.5, 64.0]),
+    "max_backtracks": st.integers(-3, 3),
+    "seed": st.integers(-1, 3),
+    "dump_matrices": st.booleans(),
+    "load_rb": st.just("/nonexistent/rb.npz"),
+})
+# at most one key, at any level, replaced by a value of the wrong kind
+_FUZZ_JUNK = st.one_of(st.none(), st.tuples(
+    st.sampled_from(["", "case", "backend", "schema_version", "bogus", "output_dir",
+                     "particles", "svgd_tol", "case.n", "case.data_noise", "case.theta_ref",
+                     "case.bogus", "backend.kind", "backend.update_every", "backend.bogus"]),
+    st.sampled_from(["x", True, None, 2.5, -1, [1, 2], {}])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_FUZZ_CONFIG, _FUZZ_JUNK)
+def test_random_configs_exit_0_2_or_3(fuzz, junk):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = dict(fuzz, case={"name": "uniform4", "n": 4, **fuzz.get("case", {})},
+                   particles=fuzz.get("particles", 2), max_steps=fuzz.get("max_steps", 1),
+                   output_dir=os.path.join(tmp, "out"))
+        if junk is not None:
+            where, value = junk
+            *parent, key = where.split(".")
+            if not key:
+                cfg = value
+            else:
+                (cfg.setdefault(parent[0], {}) if parent else cfg)[key] = value
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["run", "--config", path]) in (0, 2, 3)
 
 
 class TestRun:

@@ -17,8 +17,11 @@ from svrb.errorlab import (
     verify_bounds,
 )
 from svrb.fem import CoercivityLost
+from svrb.reduced import ReducedModel
 from svrb.svgd import draw_prior
 from svrb.verify import draw_coercive
+
+from test_hifi import _count_calls
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +37,7 @@ def decay_setup():
 
 class TestTrueErrors:
     def test_snapshot_errors_vanish(self, uniform4_16, rb_uniform4_16):
-        rep = true_errors(uniform4_16, rb_uniform4_16, rb_uniform4_16.provenance[0],
-                          with_gradients=False, constants=False)
+        rep = true_errors(uniform4_16, rb_uniform4_16, rb_uniform4_16.provenance[0])
         assert rep.e_u_V < 1e-9
         assert abs(rep.e_eta) < 1e-9 * max(rep.eta_h, 1.0)
         assert abs(rep.e_delta) < 1e-9 * max(rep.eta_h, 1.0)
@@ -43,7 +45,7 @@ class TestTrueErrors:
     def test_corrected_error_identity(self, uniform4_16, rb_uniform4_16):
         p, rm = uniform4_16, rb_uniform4_16
         theta = draw_coercive(p, np.random.default_rng(0), 1)[0]
-        rep = true_errors(p, rm, theta, with_gradients=False, constants=False)
+        rep = true_errors(p, rm, theta)
         ev = rm.evaluate(p, theta)
         op = hifi.Factorization(p, theta)
         u_h = op.solve(op.f)
@@ -68,8 +70,8 @@ class TestResiduals:
     def test_residual_dominates_error(self, uniform4_16, rb_uniform4_16):
         p, rm = uniform4_16, rb_uniform4_16
         theta = draw_coercive(p, np.random.default_rng(1), 1)[0]
-        rep = true_errors(p, rm, theta, with_gradients=False)
-        assert rep.res_u_dual >= rep.constants.alpha * rep.e_u_V
+        rep = true_errors(p, rm, theta)
+        assert rep.res_u_dual >= bound_constants(p, theta).alpha * rep.e_u_V
 
     def test_zero_adjoint_residual_is_misfit_functional(self, uniform4_16, rb_uniform4_16):
         p, rm = uniform4_16, rb_uniform4_16
@@ -114,12 +116,12 @@ class TestVerifyBounds:
             report = verify_bounds(uniform4_16, rb_uniform4_16, theta)
             assert report.all_passed, [c.name for c in report.failed()]
 
-    def test_corrupted_constant_fails(self, uniform4_16, rb_uniform4_16):
+    def test_corrupted_constant_fails(self, uniform4_16, rb_uniform4_16, monkeypatch):
         theta = draw_coercive(uniform4_16, np.random.default_rng(3), 1)[0]
         c = bound_constants(uniform4_16, theta)
         corrupted = dataclasses.replace(c, alpha=1e3 * c.alpha)
-        report = verify_bounds(uniform4_16, rb_uniform4_16, theta,
-                               constants=corrupted)
+        monkeypatch.setattr(errorlab, "bound_constants", lambda problem, theta: corrupted)
+        report = verify_bounds(uniform4_16, rb_uniform4_16, theta)
         assert not report.all_passed
 
 
@@ -183,3 +185,82 @@ class TestDecayStudy:
         _, _, _, rows = decay_setup
         sizes = [r["n_state"] for r in rows]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+
+
+@pytest.fixture(scope="module")
+def stack_setup(uniform4_16):
+    p = uniform4_16
+    rng = np.random.default_rng(7)
+    snapshots = draw_coercive(p, rng, 4)
+    thetas = draw_coercive(p, rng, 6)
+    return p, snapshots, thetas
+
+
+class TestStackedComparison:
+    """The stacked paths against the row-by-row comparison they replace."""
+
+    def test_compare_stack_matches_rows(self, stack_setup, rb_uniform4_16):
+        p, _, thetas = stack_setup
+        rm = rb_uniform4_16
+        refs = [hifi.evaluate(p, theta) for theta in thetas]
+        ev, u_r, psi_r, e_u, e_psi = errorlab.compare(
+            p, rm, thetas, np.array([h.u for h in refs]), np.array([h.psi for h in refs]))
+        for m, (theta, h) in enumerate(zip(thetas, refs)):
+            ev_m = rm.evaluate(p, theta)
+            scale = 1e-12 * max(1.0, abs(h.eta))
+            assert abs(ev.eta_delta[m] - ev_m.eta_delta) <= scale
+            assert np.allclose(u_r[m], rm.basis_u @ ev_m.u_r, rtol=1e-12, atol=1e-14)
+            assert np.allclose(psi_r[m], rm.basis_psi @ ev_m.psi_r, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(e_u[m], h.u - u_r[m])
+            assert np.array_equal(e_psi[m], h.psi - psi_r[m])
+
+    def test_decay_study_matches_row_loop(self, stack_setup):
+        p, snapshots, thetas = stack_setup
+        rows = error_decay_study(p, snapshots, thetas)
+        refs = [hifi.evaluate(p, theta) for theta in thetas]
+        tol = 1e-12 * max(1.0, max(abs(h.eta) for h in refs))
+        rm = ReducedModel.empty(p)
+        for row, snap in zip(rows, snapshots):
+            ev_snap = hifi.evaluate(p, snap)
+            rm.enrich(p, ev_snap.u, ev_snap.psi, snap)
+            cols = {k: [] for k in ("e_eta", "e_delta", "dwr", "e_u", "e_u_e_psi")}
+            for theta, h in zip(thetas, refs):
+                ev = rm.evaluate(p, theta)
+                e_u = p.v_norm(h.u - rm.basis_u @ ev.u_r)
+                e_psi = p.v_norm(h.psi - rm.basis_psi @ ev.psi_r)
+                cols["e_eta"].append(abs(h.eta - ev.eta_r))
+                cols["e_delta"].append(abs(h.eta - ev.eta_delta))
+                cols["dwr"].append(abs(ev.delta))
+                cols["e_u"].append(e_u)
+                cols["e_u_e_psi"].append(e_u * e_psi)
+            assert (row["n_state"], row["n_adjoint"]) == (rm.n_state, rm.n_adjoint)
+            assert abs(row["mean_abs_e_eta"] - np.mean(cols["e_eta"])) <= tol
+            assert abs(row["mean_abs_e_delta"] - np.mean(cols["e_delta"])) <= tol
+            assert abs(row["mean_abs_dwr"] - np.mean(cols["dwr"])) <= tol
+            assert row["mean_e_u_V"] == pytest.approx(np.mean(cols["e_u"]), rel=1e-9, abs=tol)
+            assert row["mean_e_u_e_psi"] == pytest.approx(np.mean(cols["e_u_e_psi"]),
+                                                          rel=1e-9, abs=tol)
+
+    def test_decay_study_evaluates_once_per_stage(self, stack_setup, monkeypatch):
+        p, snapshots, thetas = stack_setup
+        calls = _count_calls(monkeypatch, ReducedModel, "evaluate")
+        rows = error_decay_study(p, snapshots, thetas)
+        assert calls["n"] == len(rows) == len(snapshots)
+
+    def test_kl_estimate_matches_true_errors(self, decay_setup):
+        p, rm, train, _ = decay_setup
+        reps = [true_errors(p, rm, theta) for theta in train[:16]]
+        rhs_r, rhs_d = kl_bound_estimate(p, rm, train[:16])
+        for rhs, errs in ((rhs_r, [r.e_eta for r in reps]), (rhs_d, [r.e_delta for r in reps])):
+            # potential-scale rounding, times the slope 1 + exp(e) of kl_terms
+            tol = 1e-12 * max(1.0, max(r.eta_h for r in reps)) * (1.0 + np.exp(max(errs)))
+            assert abs(rhs - np.mean([kl_terms(e) for e in errs])) <= tol
+
+    def test_kl_estimate_reads_potentials_only(self, stack_setup, rb_uniform4_16, monkeypatch):
+        p, _, thetas = stack_setup
+        potentials = _count_calls(monkeypatch, hifi, "potential")
+        evaluations = _count_calls(monkeypatch, hifi, "evaluate")
+        gram = _count_calls(monkeypatch, type(p), "gram_solve")
+        kl_bound_estimate(p, rb_uniform4_16, thetas)
+        assert potentials["n"] == len(thetas)
+        assert evaluations["n"] == 0 and gram["n"] == 0

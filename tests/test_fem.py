@@ -18,7 +18,7 @@ from svrb.cases import (
 )
 from svrb.fem import CoercivityLost, ConfigurationError
 
-from conftest import manufactured_case
+from conftest import embed, manufactured_case
 
 
 class TestMesh:
@@ -260,7 +260,7 @@ class TestInvariants:
             p = assemble_problem(manufactured_case(n))
             u = hifi.solve_state(p, np.zeros(1))
             E = fem.point_eval_weights(p.mesh, p.quad_points)
-            uq = E.T @ p.embed(u)
+            uq = E.T @ embed(p, u)
             exact = np.sin(np.pi * p.quad_points[:, 1])
             errors.append(np.sqrt(np.sum(p.quad_weights * (uq - exact) ** 2)))
         ratios = [errors[i] / errors[i + 1] for i in range(2)]
@@ -270,7 +270,7 @@ class TestInvariants:
         p = uniform4_8
         u = hifi.solve_state(p, p.theta_ref)
         observed = p.observe(u)
-        full = p.embed(u)
+        full = embed(p, u)
         pts = obs_grid_points(7)
         n = p.mesh.n
         for i, (x, y) in enumerate(pts):

@@ -9,7 +9,7 @@ from svrb.cases import assemble_problem, uniform4_case
 from svrb.fem import CoercivityLost, SolveFailed
 from svrb.verify import draw_coercive
 
-from conftest import manufactured_case
+from conftest import embed, manufactured_case
 
 
 def fd_gradient(fun, theta, step=1e-5):
@@ -34,7 +34,7 @@ class TestStateSolve:
         p = assemble_problem(manufactured_case(16))
         u = hifi.solve_state(p, np.zeros(1))
         nodes = p.mesh.nodes[p.free_dofs]
-        err = p.embed(u)[p.free_dofs] - np.sin(np.pi * nodes[:, 1])
+        err = embed(p, u)[p.free_dofs] - np.sin(np.pi * nodes[:, 1])
         assert np.abs(err).max() < 1e-2
 
     def test_residual_guard(self, uniform4_8, monkeypatch):

@@ -9,7 +9,6 @@ from svrb.fem import CoercivityLost
 from svrb.svgd import (
     NumericalAbort,
     SVGDConfig,
-    kernel_and_grad,
     line_search,
     median_bandwidth,
     prior_score,
@@ -19,6 +18,15 @@ from svrb.svgd import (
 )
 
 from test_hifi import fd_gradient
+
+
+def kernel_and_grad(theta, theta_other, h):
+    """RBF kernel value and its gradient with respect to the first argument:
+    the one-pair reference for ``svgd_direction``."""
+    theta = np.asarray(theta, dtype=float)
+    diff = theta - np.asarray(theta_other, dtype=float)
+    k = np.exp(-np.sum(diff**2) / h)
+    return k, -(2.0 / h) * diff * k
 
 
 class TestPriorScore:
