@@ -262,7 +262,9 @@ def assemble_problem(case):
 
     Builds the mesh, the affine stiffness and load blocks, the observation
     matrix, the H^1 Gram matrix, and the synthetic data.  Dirichlet rows and
-    columns (bottom and top edges) are eliminated from every object.
+    columns (bottom and top edges) are eliminated from every object, and the
+    free nodes are numbered by a fill-reducing ordering (``free_dofs[k]`` is
+    the grid node of degree of freedom ``k``).
     """
     d = _case_dim(case)
     theta_ref = np.asarray(
@@ -282,53 +284,20 @@ def assemble_problem(case):
             )
         _probe_stacked(term, theta_ref + np.array([[0.0], [0.5]]))
 
-    mesh = fem.build_mesh(case.n)
-    qpts, qw = fem.quadrature_points(mesh, case.quad_rule)
-    n_q_loc = fem._QUAD_RULES[case.quad_rule][1].shape[0]
-
-    dirichlet = np.union1d(mesh.boundary["bottom"], mesh.boundary["top"])
-    free = np.setdiff1d(np.arange(mesh.n_nodes), dirichlet)
-
-    def constrain(mat):
-        return mat[free][:, free].tocsr()
-
-    coeff_at_quad = np.column_stack([t.field(qpts) for t in case.diffusion])
-    A_blocks = []
-    for j in range(len(case.diffusion)):
-        tri_int = (coeff_at_quad[:, j] * qw).reshape(mesh.n_triangles, n_q_loc).sum(axis=1)
-        A_blocks.append(constrain(fem._assemble_weighted_stiffness(mesh, tri_int)))
-
-    f_blocks = [fem._assemble_load(mesh, case.quad_rule, t.field(qpts))[free] for t in case.load]
-
     obs_points = obs_grid_points(case.obs_grid)
-    obs_full = fem.point_eval_weights(mesh, obs_points)
-    obs_matrix = obs_full[free]
-
-    gram = constrain(
-        fem._assemble_weighted_stiffness(mesh, _tri_areas(mesh)) + fem._assemble_mass(mesh)
-    )
-
     problem = fem.AffineParametricProblem(
         name=case.name,
-        mesh=mesh,
-        free_dofs=free,
-        A_blocks=A_blocks,
+        **_discretize(case, obs_points),
         diffusion_c=[t.c for t in case.diffusion],
         diffusion_dc=[t.dc for t in case.diffusion],
-        f_blocks=f_blocks,
         load_c=[t.c for t in case.load],
         load_dc=[t.dc for t in case.load],
-        obs_matrix=obs_matrix,
         obs_points=obs_points,
-        gram=gram,
         y=np.zeros(len(obs_points)),  # filled below
         noise_precision=np.ones(len(obs_points)),
         sigma=1.0,
         prior=case.prior,
         dim=d,
-        quad_points=qpts,
-        quad_weights=qw,
-        coeff_at_quad=coeff_at_quad,
         coercivity_floor=case.coercivity_floor,
         theta_ref=theta_ref,
         theta_data=theta_data,
@@ -358,6 +327,53 @@ def assemble_problem(case):
     return problem
 
 
+def _discretize(case, obs_points):
+    """The mesh, the quadrature, and every matrix and vector of ``case``
+    that does not depend on the parameter, as keyword arguments of
+    :class:`~svrb.fem.AffineParametricProblem`.
+
+    The structure work happens once: element geometry, one sparsity
+    structure shared by the stiffness blocks and the Gram matrix, and the
+    fill-reducing numbering of the free nodes that every factorization
+    uses.  Its temporaries are freed on return, before problem
+    construction checks the blocks.
+    """
+    mesh = fem.build_mesh(case.n)
+    areas, stiffness = fem.element_geometry(mesh)
+    qpts, qw = fem.quadrature_points(mesh, case.quad_rule, areas)
+    n_q_loc = fem._QUAD_RULES[case.quad_rule][1].shape[0]
+
+    dirichlet = np.union1d(mesh.boundary["bottom"], mesh.boundary["top"])
+    free = np.setdiff1d(np.arange(mesh.n_nodes), dirichlet)
+    if free.size == 0:  # n = 1: every node lies on the Dirichlet boundary
+        raise ConfigurationError("the mesh has no free nodes; use n >= 2")
+
+    coeff_at_quad = np.column_stack([t.field(qpts) for t in case.diffusion])
+    # integral of every diffusion field over every triangle, (J_A, T)
+    tri_int = (coeff_at_quad * qw[:, None]).reshape(mesh.n_triangles, n_q_loc, -1).sum(axis=1).T
+    gram_local = stiffness + fem.P1_MASS  # per unit area
+
+    # The Gram matrix has the structure of every stiffness block (problem
+    # construction checks it), so its fill-reducing ordering serves every
+    # factorization: number the free nodes by it, then assemble everything
+    # in that numbering.
+    stencil = fem.Stencil(mesh, free)
+    order = fem.fill_reducing_order(stencil.matrix(stencil.data(gram_local, areas[None])[0]))
+    stencil = fem.Stencil(mesh, free[order])
+    return dict(
+        mesh=mesh,
+        free_dofs=stencil.free,
+        A_blocks=[stencil.matrix(data) for data in stencil.data(stiffness, tri_int)],
+        f_blocks=[stencil.vector(fem.element_loads(case.quad_rule, t.field(qpts), areas))
+                  for t in case.load],
+        obs_matrix=fem.point_eval_weights(mesh, obs_points)[stencil.free],
+        gram=stencil.matrix(stencil.data(gram_local, areas[None])[0]),
+        quad_points=qpts,
+        quad_weights=qw,
+        coeff_at_quad=coeff_at_quad,
+    )
+
+
 def _probe_stacked(term, thetas):
     """Reject a coefficient map that does not evaluate a parameter stack.
 
@@ -380,8 +396,3 @@ def _probe_stacked(term, thetas):
                 f"coefficient map {fn!r} evaluates a parameter stack differently "
                 "from its rows; coefficient maps take stacks of shape (..., d)"
             )
-
-
-def _tri_areas(mesh):
-    areas, _ = fem._tri_geometry(mesh)
-    return areas

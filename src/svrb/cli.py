@@ -68,6 +68,8 @@ def _dump_matrices(problem, outdir):
     sio.mmwrite(os.path.join(mdir, "obs.mtx"), problem.obs_matrix)
     for k, vec in enumerate(problem.f_blocks):
         np.savetxt(os.path.join(mdir, f"f_{k}.txt"), vec)
+    # row k of every matrix and vector above belongs to grid node free_dofs[k]
+    np.savetxt(os.path.join(mdir, "free_dofs.txt"), problem.free_dofs, fmt="%d")
 
 
 def cmd_run(cfg):

@@ -10,7 +10,10 @@ The parametric operator is affine in the parameter: the stiffness matrix
 is a linear combination ``sum_j cA_j(theta) * A_j`` of parameter-independent
 sparse blocks, and likewise for the load vector.  Assembling the blocks,
 the observation matrix, and the H^1 Gram matrix happens once; evaluating
-the operator at a parameter is a cheap weighted sum.
+the operator at a parameter is a cheap weighted sum.  All of these
+matrices share one sparsity structure (:class:`Stencil`), and the free
+nodes are numbered once by a fill-reducing ordering of it, so every later
+factorization (:func:`spd_lu`) is numeric work only.
 """
 
 from dataclasses import dataclass, field
@@ -42,13 +45,34 @@ class ConfigurationError(ValueError):
 
 
 def spd_lu(A):
-    """Sparse LU of a symmetric positive definite matrix: a minimum degree
-    ordering of the pattern of ``A^T + A``, applied symmetrically, and
-    diagonal pivots, which positive definiteness makes safe.  On the
-    diffusion operators here it has about a third less fill than SuperLU's
-    default column ordering, which ignores the symmetry."""
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    """Sparse LU of a symmetric positive definite CSR matrix in its own
+    numbering, with diagonal pivots, which positive definiteness makes safe.
+
+    Problem assembly numbers the degrees of freedom by a fill-reducing
+    ordering (:func:`fill_reducing_order`), so the factorization orders
+    nothing.  ``A`` must be exactly symmetric (assembly checks it): the
+    LU is of the CSC view ``A.T``, which copies nothing.
+    """
+    return spla.splu(A.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
+
+
+def fill_reducing_order(A):
+    """Fill-reducing renumbering for the symmetric matrices of one pattern.
+
+    SuperLU's minimum degree ordering of the pattern of ``A^T + A``, the
+    one :func:`spd_lu` would compute for every factorization were the
+    numbering left natural.  It depends on the pattern only; an incomplete
+    LU that drops every entry computes it at a fraction of the cost of a
+    full LU.  Returns ``order`` with ``order[k]`` the old index of new
+    index ``k``, so ``A[order][:, order]`` factorized by :func:`spd_lu` has
+    the fill of ordering each factorization anew.  SuperLU's column
+    permutation maps old indices to new ones, hence the ``argsort``; used
+    uninverted it multiplies the fill about twelvefold.
+    """
+    ilu = spla.spilu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, drop_tol=1e300,
+                     fill_factor=1, options=dict(SymmetricMode=True))
+    return np.argsort(ilu.perm_c)
 
 
 # Quadrature on the reference triangle: barycentric coordinates and weights
@@ -118,11 +142,16 @@ def build_mesh(n):
     return MeshGrid(n=n, nodes=nodes, triangles=triangles, boundary=boundary)
 
 
-def _tri_geometry(mesh):
-    """Per-triangle areas and constant P1 basis gradients.
+P1_MASS = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=float) / 12.0
+"""Exact P1 element mass matrix of a triangle of unit area."""
 
-    Returns ``(areas, grads)`` with ``grads[t, i]`` the gradient of the
-    barycentric basis function attached to local vertex ``i``.
+
+def element_geometry(mesh):
+    """Per-triangle areas and local P1 stiffness matrices.
+
+    Returns ``(areas, stiffness)`` with ``stiffness[t, i, j]`` the dot
+    product of the constant gradients of the barycentric basis functions
+    attached to local vertices ``i`` and ``j`` of triangle ``t``.
     """
     p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
     e0 = p[:, 2] - p[:, 1]
@@ -133,56 +162,79 @@ def _tri_geometry(mesh):
         raise ConfigurationError("mesh contains non-positively oriented triangles")
     rot = lambda e: np.column_stack([-e[:, 1], e[:, 0]])
     grads = np.stack([rot(e0), rot(e1), rot(e2)], axis=1) / (2.0 * areas)[:, None, None]
-    return areas, grads
+    return areas, np.einsum("tid,tjd->tij", grads, grads)
 
 
-def quadrature_points(mesh, rule):
+def quadrature_points(mesh, rule, areas):
     """Physical quadrature points and weights for all triangles.
 
     Returns ``(points, weights)`` of shapes ``(T*Q, 2)`` and ``(T*Q,)``;
-    weights include the triangle areas, so sums approximate integrals.
+    weights include the triangle ``areas``, so sums approximate integrals.
     """
     bary, w = _QUAD_RULES[rule]
     p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
     pts = np.einsum("qi,tij->tqj", bary, p)  # (T, Q, 2)
-    areas, _ = _tri_geometry(mesh)
     weights = areas[:, None] * w[None, :]
     return pts.reshape(-1, 2), weights.reshape(-1)
 
 
-def _assemble_weighted_stiffness(mesh, tri_integrals):
-    """Full stiffness matrix for a scalar coefficient with per-triangle
-    integrals ``tri_integrals[t] = integral of the coefficient over t``."""
-    _, grads = _tri_geometry(mesh)
-    gg = np.einsum("tid,tjd->tij", grads, grads)  # (T, 3, 3)
-    vals = tri_integrals[:, None, None] * gg
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    nn = mesh.n_nodes
-    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-
-
-def _assemble_mass(mesh):
-    """Full P1 mass matrix (exact)."""
-    areas, _ = _tri_geometry(mesh)
-    local = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=float) / 12.0
-    vals = areas[:, None, None] * local
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    nn = mesh.n_nodes
-    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-
-
-def _assemble_load(mesh, rule, f_at_quad):
-    """Full load vector for a source term sampled at the quadrature points."""
+def element_loads(rule, f_at_quad, areas):
+    """Per-triangle load contributions ``(T, 3)``: the integral over each
+    triangle of a source sampled at the quadrature points times each
+    barycentric basis function."""
     bary, w = _QUAD_RULES[rule]
-    areas, _ = _tri_geometry(mesh)
-    fq = f_at_quad.reshape(mesh.n_triangles, len(w))
-    # integral of f * lambda_i over each triangle
-    contrib = np.einsum("tq,q,qi->ti", fq, w, bary) * areas[:, None]
-    vec = np.zeros(mesh.n_nodes)
-    np.add.at(vec, mesh.triangles.ravel(), contrib.ravel())
-    return vec
+    fq = f_at_quad.reshape(len(areas), len(w))
+    return np.einsum("tq,q,qi->ti", fq, w, bary) * areas[:, None]
+
+
+class Stencil:
+    """One CSR sparsity structure for every P1 matrix on the free nodes.
+
+    ``free[k]`` is the grid node of degree of freedom ``k``; the other
+    nodes are eliminated.  The structure (sorted column indices) and the
+    slot of every element-matrix entry in it are computed once, as a
+    scatter matrix whose row ``s`` sums the element entries of slot ``s``.
+    Each matrix after that is one sparse matrix-vector product, and all
+    of them share the structure by construction.
+    """
+
+    def __init__(self, mesh, free):
+        n = len(free)
+        dof = np.full(mesh.n_nodes, -1)
+        dof[free] = np.arange(n)
+        self.free = free
+        self.shape = (n, n)
+        local = self._local = dof[mesh.triangles]  # (T, 3), -1 on eliminated nodes
+        free_local = local >= 0
+        # element entry 9 t + 3 i + j couples local vertices i and j of triangle t
+        kept = np.flatnonzero(free_local[:, :, None] & free_local[:, None, :])
+        keys = (local[:, :, None] * n + local[:, None, :]).ravel()[kept]
+        by_slot = np.argsort(keys, kind="stable")  # by (row, col), then triangle
+        keys = keys[by_slot]
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        self.indices = keys[first] % n
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(keys[first] // n, minlength=n))])
+        self._entries = kept[by_slot]
+        self._scatter_ptr = np.append(first, len(keys))
+
+    def data(self, local, weights):
+        """CSR data, one ``(nnz,)`` array per row of ``weights`` ``(B, T)``:
+        that of the matrix whose element matrix on triangle ``t`` is
+        ``weights[b, t] * local[t]``, with ``local`` of shape ``(T, 3, 3)``."""
+        scatter = sp.csr_matrix(
+            (local.reshape(-1)[self._entries], self._entries // 9, self._scatter_ptr),
+            shape=(len(self.indices), len(local)))
+        return [scatter @ w for w in weights]
+
+    def matrix(self, data):
+        """Sparse matrix with this structure and the values ``data``."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def vector(self, element_vectors):
+        """Vector on the free nodes from per-triangle contributions ``(T, 3)``."""
+        kept = self._local >= 0
+        return np.bincount(self._local[kept], weights=element_vectors[kept],
+                           minlength=self.shape[0])
 
 
 def point_eval_weights(mesh, points):
@@ -278,9 +330,15 @@ class AffineParametricProblem:
         mirror = np.argsort(first.indices, kind="stable")
         if not (np.array_equal(first.indices[mirror], rows)
                 and np.array_equal(rows[mirror], first.indices)
-                and np.array_equal(np.take(self._block_data, mirror, axis=1),
-                                   self._block_data)):
+                and all(np.array_equal(data[mirror], data) for data in self._block_data)):
             raise ConfigurationError("stiffness blocks are not symmetric")
+        # the Gram matrix shares the numbering chosen for that structure and,
+        # like the operator, is factorized as its transpose (spd_lu)
+        if not (np.array_equal(self.gram.indptr, first.indptr)
+                and np.array_equal(self.gram.indices, first.indices)
+                and np.array_equal(self.gram.data[mirror], self.gram.data)):
+            raise ConfigurationError("the Gram matrix is not symmetric with the structure "
+                                     "of the stiffness blocks")
 
     # -- sizes ---------------------------------------------------------
 

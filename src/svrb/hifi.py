@@ -2,9 +2,10 @@
 
 One sparse factorization per parameter value serves the state solve, the
 adjoint solve, and all ``2d`` parameter-sensitivity solves.  It is an LU
-with a symmetric fill-reducing ordering and diagonal pivots
-(:func:`~svrb.fem.spd_lu`); the residual check after every solve is the
-safety net.  The affine coefficients are evaluated once per factorization
+with diagonal pivots in the problem's own dof numbering, which assembly
+made fill-reducing once (:func:`~svrb.fem.spd_lu`), so no factorization
+orders its matrix; the residual check after every solve is the safety
+net.  The affine coefficients are evaluated once per factorization
 and shared by the coercivity guard, the assembly, the gradient and the
 sensitivities.  :func:`evaluate` is the one state-then-adjoint sequence:
 callers read the adjoint and the gradient from its result.

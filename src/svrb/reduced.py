@@ -32,7 +32,9 @@ class RBSolveFailed(RuntimeError):
     """The reduced dense system is singular or empty."""
 
 
-ARTIFACT_SCHEMA = 1  # version of the problem fingerprint stored in ``rb.npz``
+# version of the problem fingerprint stored in ``rb.npz``; 2: basis rows follow
+# the fill-reducing dof numbering of problem assembly
+ARTIFACT_SCHEMA = 2
 
 
 def problem_fingerprint(problem):
@@ -175,24 +177,24 @@ class ReducedModel:
         observation projections one entry each; the cross block gains a
         column for a new state vector and a row for a new adjoint vector.
         The diffusion blocks are symmetric (checked at problem assembly), so
-        ``A(v, old_m) = A(old_m, v)``: one product per block fills both the
-        new row and the new column, and the cross block reads ``A_j v`` in
-        either case.
+        ``A(v, old_m) = A(old_m, v)``: the products ``A_j v`` of all blocks,
+        formed once as the columns of one matrix, fill both the new row and
+        the new column with one matrix product, and the cross block with
+        another.
         """
         state = which == "state"
         old, other = (self.basis_u, self.basis_psi) if state else (self.basis_psi, self.basis_u)
         k = old.shape[1]
-        Av = [blk @ v for blk in problem.A_blocks]
-        own = np.zeros((len(Av), k + 1, k + 1))
+        Av = np.column_stack([blk @ v for blk in problem.A_blocks])  # (N_h, J_A)
+        own = np.zeros((Av.shape[1], k + 1, k + 1))
         own[:, :k, :k] = self.Au if state else self.Ap
-        for j in range(len(Av)):
-            own[j, :k, k] = own[j, k, :k] = old.T @ Av[j]
-            own[j, k, k] = v @ Av[j]
-        cross = np.stack([other.T @ a for a in Av])
+        own[:, :k, k] = own[:, k, :k] = (old.T @ Av).T
+        own[:, k, k] = v @ Av
+        cross = (other.T @ Av).T
         grown = (
             np.column_stack([old, v]),
             own,
-            np.column_stack([self.fu if state else self.fp, [vec @ v for vec in problem.f_blocks]]),
+            np.column_stack([self.fu if state else self.fp, np.stack(problem.f_blocks) @ v]),
             np.vstack([self.Ou if state else self.Op, problem.obs_matrix.T @ v]),
         )
         if state:
@@ -370,7 +372,7 @@ class ReducedModel:
     def save(self, path):
         """Write bases, blocks, and provenance to a ``.npz`` artifact."""
         meta = {"deflation_tol": self.deflation_tol, "problem": self.fingerprint}
-        np.savez_compressed(
+        np.savez(
             path,
             basis_u=self.basis_u,
             basis_psi=self.basis_psi,

@@ -38,6 +38,17 @@ def write_config(path, **overrides):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def as_schema_1(rb_path):
+    """Rewrite a stored reduced model as one written before the dofs were
+    renumbered (its fingerprint carries schema 1)."""
+    with np.load(rb_path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    meta["problem"]["schema"] = 1
+    arrays["meta"] = json.dumps(meta)
+    np.savez(rb_path, **arrays)
+
+
 def _documented_configs():
     with open(os.path.join(ROOT, "README.md")) as fh:
         blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
@@ -169,7 +180,9 @@ def test_random_configs_exit_0_2_or_3(fuzz, junk):
         path = os.path.join(tmp, "c.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        # a junk relative output_dir ("x") is written inside the temporary directory
+        with contextlib.chdir(tmp), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
             assert main(["run", "--config", path]) in (0, 2, 3)
 
 
@@ -250,6 +263,8 @@ class TestRun:
         assert (mdir / "A_0.mtx").is_file()
         assert (mdir / "gram.mtx").is_file()
         assert (mdir / "obs.mtx").is_file()
+        free = np.loadtxt(mdir / "free_dofs.txt", dtype=int)
+        assert np.array_equal(free, assemble_problem(uniform4_case(8)).free_dofs)
 
     def test_numerical_abort_exit_code(self, tmp_path):
         p = assemble_problem(uniform4_case(8))
@@ -312,6 +327,17 @@ class TestRun:
         assert main(["run", "--config", str(cfg2)]) == 2
         assert "built for another problem" in capsys.readouterr().err
 
+
+    def test_load_rb_of_schema_1_exits_2(self, tmp_path, capsys):
+        rb_path = str(tmp_path / "rb8.npz")
+        cfg = write_config(tmp_path / "c.json", particles=4, max_steps=0,
+                           backend={"kind": "rb-fixed", "tol": 1e-3}, save_rb=rb_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        as_schema_1(rb_path)
+        cfg2 = write_config(tmp_path / "c2.json", max_steps=1, backend={"kind": "rb-fixed"},
+                            load_rb=rb_path, output_dir=str(tmp_path / "out2"))
+        assert main(["run", "--config", str(cfg2)]) == 2
+        assert "built for another problem" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, b"not an npz archive\n"],
                              ids=["missing", "not-npz"])
@@ -407,6 +433,14 @@ class TestAnalyze:
                              output_dir=str(tmp_path / "other"))
         assert main(["run", "--config", str(other)]) == 0
         os.replace(tmp_path / "other" / "rb.npz", tmp_path / "out" / "rb.npz")
+        assert main(["analyze", str(tmp_path / "out")]) == 2
+        assert "built for another problem" in capsys.readouterr().err
+
+    def test_schema_1_rb_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", particles=4, max_steps=0,
+                           backend={"kind": "rb-fixed", "tol": 1e-3})
+        assert main(["run", "--config", str(cfg)]) == 0
+        as_schema_1(tmp_path / "out" / "rb.npz")
         assert main(["analyze", str(tmp_path / "out")]) == 2
         assert "built for another problem" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +20,7 @@ from svrb.cases import (
 from svrb.fem import CoercivityLost, ConfigurationError
 
 from conftest import embed, manufactured_case
+from reference_assembly import reference_arrays
 
 
 class TestMesh:
@@ -75,6 +77,10 @@ class TestAssembly:
         with pytest.raises(ConfigurationError):
             gaussian9_case(10)
 
+    def test_mesh_without_free_nodes_rejected(self):
+        with pytest.raises(ConfigurationError, match="free nodes"):
+            assemble_problem(uniform4_case(1))
+
     def test_observation_point_outside_domain(self):
         mesh = fem.build_mesh(4)
         with pytest.raises(ConfigurationError):
@@ -130,22 +136,83 @@ class TestCoefficients:
             assert np.allclose(dcF, 0.0)
 
 
+def unit_stiffness(problem):
+    """Stiffness matrix of the unit diffusivity in the problem's dof numbering."""
+    stencil = fem.Stencil(problem.mesh, problem.free_dofs)
+    areas, stiffness = fem.element_geometry(problem.mesh)
+    return stencil.matrix(stencil.data(stiffness, areas[None])[0])
+
+
+def _natural(problem):
+    """The grid nodes of the free dofs in increasing order: the numbering
+    before the fill-reducing one, and the permutation from the problem's
+    numbering to it."""
+    to_natural = np.argsort(problem.free_dofs)
+    return problem.free_dofs[to_natural], to_natural
+
+
+class TestStackedAssembly:
+    CASES = {"uniform4-8": lambda: uniform4_case(8), "gaussian9-9": lambda: gaussian9_case(9),
+             "manufactured-8": lambda: manufactured_case(8), "uniform4-32": lambda: uniform4_case(32)}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_per_block_reference(self, name):
+        case = self.CASES[name]()
+        p = assemble_problem(case)
+        blocks, loads, gram = reference_arrays(case, p.free_dofs)
+        for got, want in zip(p.A_blocks + [p.gram], blocks + [gram]):
+            assert abs(got - want).max() <= 1e-14 * abs(want).max()
+        for got, want in zip(p.f_blocks, loads):
+            assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+        obs = fem.point_eval_weights(p.mesh, p.obs_points)[p.free_dofs]
+        assert abs(p.obs_matrix - obs).max() == 0.0
+
+    def test_free_dofs_renumber_the_interior_and_side_nodes(self, uniform4_8):
+        natural, _ = _natural(uniform4_8)
+        mesh = uniform4_8.mesh
+        dirichlet = np.union1d(mesh.boundary["bottom"], mesh.boundary["top"])
+        assert np.array_equal(natural, np.setdiff1d(np.arange(mesh.n_nodes), dirichlet))
+        assert not np.array_equal(uniform4_8.free_dofs, natural)
+
+    def test_blocks_and_gram_share_one_sorted_structure(self, gaussian9_9):
+        first = gaussian9_9.A_blocks[0]
+        for mat in gaussian9_9.A_blocks[1:] + [gaussian9_9.gram]:
+            assert np.array_equal(mat.indptr, first.indptr)
+            assert np.array_equal(mat.indices, first.indices)
+        assert first.has_sorted_indices
+
+    @pytest.mark.parametrize("case", [uniform4_case(32), gaussian9_case(63)],
+                             ids=["uniform4-32", "gaussian9-63"])
+    def test_order_is_superlu_minimum_degree(self, case):
+        # the incomplete LU behind fill_reducing_order computes the ordering
+        # a full LU with the same options would
+        p = assemble_problem(case)
+        _, to_natural = _natural(p)
+        gram = p.gram[to_natural][:, to_natural]
+        lu = spla.splu(gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        order = fem.fill_reducing_order(gram)
+        assert np.array_equal(order, np.argsort(lu.perm_c))
+        assert np.array_equal(p.free_dofs, _natural(p)[0][order])
+
+    def test_non_symmetric_gram_rejected(self, uniform4_8):
+        gram = uniform4_8.gram.copy()
+        row = np.repeat(np.arange(gram.shape[0]), np.diff(gram.indptr))
+        gram.data[np.argmax(gram.indices != row)] += 1.0
+        with pytest.raises(ConfigurationError, match="Gram"):
+            dataclasses.replace(uniform4_8, gram=gram)
+
+
 class TestOperator:
     def test_constant_field_matches_unit_stiffness(self, constant_problem):
         A, _ = constant_problem.operator(np.zeros(1))
-        mesh = constant_problem.mesh
-        areas, _ = fem._tri_geometry(mesh)
-        K = fem._assemble_weighted_stiffness(mesh, areas)
-        free = constant_problem.free_dofs
-        assert abs(A - K[free][:, free]).max() < 1e-14
+        K = unit_stiffness(constant_problem)
+        assert abs(A - K).max() < 1e-14
 
     def test_uniform4_origin_is_five_times_unit_stiffness(self, uniform4_8):
         A, _ = uniform4_8.operator(np.zeros(4))
-        mesh = uniform4_8.mesh
-        areas, _ = fem._tri_geometry(mesh)
-        K = fem._assemble_weighted_stiffness(mesh, areas)
-        free = uniform4_8.free_dofs
-        assert abs(A - 5.0 * K[free][:, free]).max() < 1e-12
+        K = unit_stiffness(uniform4_8)
+        assert abs(A - 5.0 * K).max() < 1e-12
 
     def test_extreme_corner_loses_coercivity(self, uniform4_8):
         # at the all-negative extreme, the field at (0, 0) is 5 - 4*sqrt(3) < 0

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from svrb import hifi
-from svrb.cases import assemble_problem, uniform4_case
+from svrb.cases import assemble_problem, gaussian9_case, uniform4_case
 from svrb.fem import CoercivityLost, SolveFailed
 from svrb.verify import draw_coercive
 
@@ -221,3 +221,46 @@ class TestSymmetricFactorization:
         calls = _count_calls(monkeypatch, type(p), "eval_coefficients")
         getattr(hifi, entry)(p, theta)
         assert calls["n"] == 1
+
+
+class TestFillReducingNumbering:
+    """Assembly numbers the dofs by minimum degree once; each factorization
+    then keeps that numbering and has the fill of ordering anew."""
+
+    @pytest.fixture(scope="class", params=["uniform4-32", "gaussian9-63"])
+    def case(self, request):
+        if request.param == "uniform4-32":
+            return assemble_problem(uniform4_case(32)), np.array([0.4, -0.3, 0.2, 0.1])
+        return assemble_problem(gaussian9_case(63)), np.linspace(-1.0, 1.0, 9)
+
+    @staticmethod
+    def natural_mmd(p, theta):
+        """The operator in increasing grid-node order, factorized with a
+        minimum degree ordering of its own."""
+        to_natural = np.argsort(p.free_dofs)
+        A, f = p.operator(theta)
+        lu = spla.splu(A[to_natural][:, to_natural].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        return lu, f[to_natural], p.free_dofs[to_natural]
+
+    def test_one_natural_order_splu(self, case, monkeypatch):
+        p, theta = case
+        calls = []
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(k) or real(*a, **k))
+        hifi.Factorization(p, theta)
+        assert [k["permc_spec"] for k in calls] == ["NATURAL"]
+
+    def test_fill_equals_mmd_of_natural_numbering(self, case):
+        p, theta = case
+        lu = hifi.Factorization(p, theta)._lu
+        reference, _, _ = self.natural_mmd(p, theta)
+        assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
+
+    def test_state_on_mesh_nodes_matches_natural_solve(self, case):
+        p, theta = case
+        u = embed(p, hifi.solve_state(p, theta))
+        reference, f, nodes = self.natural_mmd(p, theta)
+        u_ref = np.zeros(p.n_dofs_raw)
+        u_ref[nodes] = reference.solve(f)
+        assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
