@@ -35,5 +35,5 @@ print(f"posterior mean:            "
 print(f"posterior std:             "
       f"{np.array2string(ensemble.particles.std(axis=0), precision=3)}")
 offline = log.meta["rb_offline_seconds"]
-online = log.records[-1].timers.get("rb_online", 0.0)
+online = sum(record.timers["rb_online"] for record in log.records)
 print(f"\nsurrogate build time: {offline:.2f}s, online evaluation time: {online:.2f}s")

@@ -9,7 +9,8 @@ the potentials the caller still cares about: a backend whose potentials
 are never negative may return ``np.full(M, np.inf)`` as soon as the rows
 it has evaluated already sum to ``budget`` or more, since the whole sum
 can only be larger.  Any backend may ignore it and evaluate every row.
-``n_evaluations`` counts the rows a backend has evaluated.
+``n_evaluations`` counts the rows a backend has evaluated, and
+``timers`` maps a phase name to the seconds the backend has spent in it.
 
 Three production implementations (high-fidelity, fixed reduced basis,
 adaptive reduced basis -- the last two share :class:`RBBackend`, the

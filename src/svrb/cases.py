@@ -328,15 +328,16 @@ def assemble_problem(case):
 
 
 def _discretize(case, obs_points):
-    """The mesh, the quadrature, and every matrix and vector of ``case``
-    that does not depend on the parameter, as keyword arguments of
-    :class:`~svrb.fem.AffineParametricProblem`.
+    """The mesh, the diffusion fields at the quadrature points, and every
+    matrix and vector of ``case`` that does not depend on the parameter, as
+    keyword arguments of :class:`~svrb.fem.AffineParametricProblem`.
 
     The structure work happens once: element geometry, one sparsity
     structure shared by the stiffness blocks and the Gram matrix, and the
     fill-reducing numbering of the free nodes that every factorization
-    uses.  Its temporaries are freed on return, before problem
-    construction checks the blocks.
+    uses.  The blocks are values on the Gram matrix's structure.  Its
+    temporaries are freed on return, before problem construction checks
+    the blocks.
     """
     mesh = fem.build_mesh(case.n)
     areas, stiffness = fem.element_geometry(mesh)
@@ -353,23 +354,20 @@ def _discretize(case, obs_points):
     tri_int = (coeff_at_quad * qw[:, None]).reshape(mesh.n_triangles, n_q_loc, -1).sum(axis=1).T
     gram_local = stiffness + fem.P1_MASS  # per unit area
 
-    # The Gram matrix has the structure of every stiffness block (problem
-    # construction checks it), so its fill-reducing ordering serves every
-    # factorization: number the free nodes by it, then assemble everything
-    # in that numbering.
+    # The Gram matrix has the structure of every stiffness block, so its
+    # fill-reducing ordering serves every factorization: number the free
+    # nodes by it, then assemble everything in that numbering.
     stencil = fem.Stencil(mesh, free)
     order = fem.fill_reducing_order(stencil.matrix(stencil.data(gram_local, areas[None])[0]))
     stencil = fem.Stencil(mesh, free[order])
     return dict(
         mesh=mesh,
         free_dofs=stencil.free,
-        A_blocks=[stencil.matrix(data) for data in stencil.data(stiffness, tri_int)],
-        f_blocks=[stencil.vector(fem.element_loads(case.quad_rule, t.field(qpts), areas))
-                  for t in case.load],
+        A_data=stencil.data(stiffness, tri_int),
+        f_data=np.array([stencil.vector(fem.element_loads(case.quad_rule, t.field(qpts), areas))
+                         for t in case.load]),
         obs_matrix=fem.point_eval_weights(mesh, obs_points)[stencil.free],
         gram=stencil.matrix(stencil.data(gram_local, areas[None])[0]),
-        quad_points=qpts,
-        quad_weights=qw,
         coeff_at_quad=coeff_at_quad,
     )
 

@@ -62,11 +62,11 @@ def _dump_matrices(problem, outdir):
 
     mdir = os.path.join(outdir, "matrices")
     os.makedirs(mdir, exist_ok=True)
-    for j, blk in enumerate(problem.A_blocks):
-        sio.mmwrite(os.path.join(mdir, f"A_{j}.mtx"), blk)
+    for j, data in enumerate(problem.A_data):
+        sio.mmwrite(os.path.join(mdir, f"A_{j}.mtx"), problem.stiffness(data))
     sio.mmwrite(os.path.join(mdir, "gram.mtx"), problem.gram)
     sio.mmwrite(os.path.join(mdir, "obs.mtx"), problem.obs_matrix)
-    for k, vec in enumerate(problem.f_blocks):
+    for k, vec in enumerate(problem.f_data):
         np.savetxt(os.path.join(mdir, f"f_{k}.txt"), vec)
     # row k of every matrix and vector above belongs to grid node free_dofs[k]
     np.savetxt(os.path.join(mdir, "free_dofs.txt"), problem.free_dofs, fmt="%d")

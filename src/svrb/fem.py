@@ -11,9 +11,11 @@ is a linear combination ``sum_j cA_j(theta) * A_j`` of parameter-independent
 sparse blocks, and likewise for the load vector.  Assembling the blocks,
 the observation matrix, and the H^1 Gram matrix happens once; evaluating
 the operator at a parameter is a cheap weighted sum.  All of these
-matrices share one sparsity structure (:class:`Stencil`), and the free
-nodes are numbered once by a fill-reducing ordering of it, so every later
-factorization (:func:`spd_lu`) is numeric work only.
+matrices share one sparsity structure (:class:`Stencil`): the problem
+stores it once, as that of the Gram matrix, with one row of values per
+stiffness block on it.  The free nodes are numbered once by a
+fill-reducing ordering of it, so every later factorization
+(:func:`spd_lu`) is numeric work only.
 """
 
 from dataclasses import dataclass, field
@@ -195,7 +197,9 @@ class Stencil:
     slot of every element-matrix entry in it are computed once, as a
     scatter matrix whose row ``s`` sums the element entries of slot ``s``.
     Each matrix after that is one sparse matrix-vector product, and all
-    of them share the structure by construction.
+    of them share the structure by construction.  Its indices are
+    ``int32``, the index type scipy picks for these sizes, so matrices
+    built on it share the arrays instead of copying them.
     """
 
     def __init__(self, mesh, free):
@@ -212,19 +216,23 @@ class Stencil:
         by_slot = np.argsort(keys, kind="stable")  # by (row, col), then triangle
         keys = keys[by_slot]
         first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        self.indices = keys[first] % n
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(keys[first] // n, minlength=n))])
+        self.indices = (keys[first] % n).astype(np.int32)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(keys[first] // n, minlength=n))]
+                                     ).astype(np.int32)
         self._entries = kept[by_slot]
         self._scatter_ptr = np.append(first, len(keys))
 
     def data(self, local, weights):
-        """CSR data, one ``(nnz,)`` array per row of ``weights`` ``(B, T)``:
+        """CSR data ``(B, nnz)``, one row per row of ``weights`` ``(B, T)``:
         that of the matrix whose element matrix on triangle ``t`` is
         ``weights[b, t] * local[t]``, with ``local`` of shape ``(T, 3, 3)``."""
         scatter = sp.csr_matrix(
             (local.reshape(-1)[self._entries], self._entries // 9, self._scatter_ptr),
             shape=(len(self.indices), len(local)))
-        return [scatter @ w for w in weights]
+        out = np.empty((len(weights), len(self.indices)))
+        for row, w in zip(out, weights):
+            row[:] = scatter @ w
+        return out
 
     def matrix(self, data):
         """Sparse matrix with this structure and the values ``data``."""
@@ -273,16 +281,20 @@ class AffineParametricProblem:
     """All parameter-independent objects of one inverse problem instance.
 
     Immutable after construction; the Gram factorization is created lazily
-    on first use and shared read-only afterwards.
+    on first use and shared read-only afterwards.  The stiffness blocks
+    ``A_j`` are stored once, as the rows of ``A_data`` ``(J_A, nnz)``: their
+    values on the sparsity structure of ``gram``, which every block shares
+    (:meth:`stiffness` makes the matrix).  The load blocks ``f_j`` are the
+    rows of ``f_data`` ``(J_F, N)``.
     """
 
     name: str
     mesh: MeshGrid
     free_dofs: np.ndarray = field(repr=False)
-    A_blocks: list = field(repr=False)
+    A_data: np.ndarray = field(repr=False)
     diffusion_c: list = field(repr=False)
     diffusion_dc: list = field(repr=False)
-    f_blocks: list = field(repr=False)
+    f_data: np.ndarray = field(repr=False)
     load_c: list = field(repr=False)
     load_dc: list = field(repr=False)
     obs_matrix: sp.csr_matrix = field(repr=False)
@@ -293,8 +305,6 @@ class AffineParametricProblem:
     sigma: float
     prior: object
     dim: int
-    quad_points: np.ndarray = field(repr=False)
-    quad_weights: np.ndarray = field(repr=False)
     coeff_at_quad: np.ndarray = field(repr=False)
     coercivity_floor: float
     theta_ref: np.ndarray = field(repr=False)
@@ -311,34 +321,18 @@ class AffineParametricProblem:
         self._one_hot_fields = bool(
             np.all((aq == 0.0) | (aq == 1.0)) and np.allclose(aq.sum(axis=1), 1.0)
         )
-        # all stiffness blocks come from one stencil and share its sparsity
-        # structure, so the operator and its parameter derivatives are
-        # weighted sums of the stacked data arrays
-        first = self.A_blocks[0]
-        if not all(
-            np.array_equal(blk.indptr, first.indptr)
-            and np.array_equal(blk.indices, first.indices)
-            for blk in self.A_blocks[1:]
-        ):
-            raise ConfigurationError("stiffness blocks do not share one sparsity structure")
-        self._block_data = np.stack([blk.data for blk in self.A_blocks])
-        self._block_structure = (first.indices, first.indptr)
         # the reduced model's incremental updates rely on symmetric blocks;
         # in the sorted structure assembly produces, stored entry k at
         # (row, col) is mirrored by entry mirror[k] at (col, row)
-        rows = np.repeat(np.arange(first.shape[0]), np.diff(first.indptr))
-        mirror = np.argsort(first.indices, kind="stable")
-        if not (np.array_equal(first.indices[mirror], rows)
-                and np.array_equal(rows[mirror], first.indices)
-                and all(np.array_equal(data[mirror], data) for data in self._block_data)):
+        indices, indptr = self.gram.indices, self.gram.indptr
+        rows = np.repeat(np.arange(self.gram.shape[0]), np.diff(indptr))
+        mirror = np.argsort(indices, kind="stable")
+        if not (np.array_equal(indices[mirror], rows) and np.array_equal(rows[mirror], indices)
+                and all(np.array_equal(data[mirror], data) for data in self.A_data)):
             raise ConfigurationError("stiffness blocks are not symmetric")
-        # the Gram matrix shares the numbering chosen for that structure and,
-        # like the operator, is factorized as its transpose (spd_lu)
-        if not (np.array_equal(self.gram.indptr, first.indptr)
-                and np.array_equal(self.gram.indices, first.indices)
-                and np.array_equal(self.gram.data[mirror], self.gram.data)):
-            raise ConfigurationError("the Gram matrix is not symmetric with the structure "
-                                     "of the stiffness blocks")
+        # like the operator, the Gram matrix is factorized as its transpose (spd_lu)
+        if not np.array_equal(self.gram.data[mirror], self.gram.data):
+            raise ConfigurationError("the Gram matrix is not symmetric")
 
     # -- sizes ---------------------------------------------------------
 
@@ -354,11 +348,11 @@ class AffineParametricProblem:
 
     @property
     def n_diffusion_terms(self):
-        return len(self.A_blocks)
+        return len(self.A_data)
 
     @property
     def n_load_terms(self):
-        return len(self.f_blocks)
+        return len(self.f_data)
 
     @property
     def n_obs(self):
@@ -440,10 +434,10 @@ class AffineParametricProblem:
         bound = np.where(np.isfinite(cA).all(axis=-1), bound, -np.inf)
         return float(bound) if bound.ndim == 0 else bound
 
-    def _stiffness(self, data):
-        """Sparse matrix with the shared block structure and the given values."""
-        indices, indptr = self._block_structure
-        return sp.csr_matrix((data, indices, indptr), shape=self.A_blocks[0].shape)
+    def stiffness(self, values):
+        """Sparse matrix with the values ``values`` ``(nnz,)`` on the structure
+        every stiffness block shares; ``stiffness(A_data[j])`` is block ``A_j``."""
+        return sp.csr_matrix((values, self.gram.indices, self.gram.indptr), shape=self.gram.shape)
 
     def operator(self, theta, coeffs=None):
         """Assembled operator and load at a coercive ``theta``: ``(A(theta), f(theta))``."""
@@ -451,9 +445,9 @@ class AffineParametricProblem:
         self.check_coercive(theta, coeffs)
         cA, cF, _, _ = coeffs
         f = np.zeros(self.n_dofs)
-        for c, vec in zip(cF, self.f_blocks):
+        for c, vec in zip(cF, self.f_data):
             f += c * vec
-        return self._stiffness(cA @ self._block_data), f
+        return self.stiffness(cA @ self.A_data), f
 
     def operator_derivatives(self, theta, coeffs=None):
         """Parameter derivatives of the operator and load at ``theta``.
@@ -463,8 +457,7 @@ class AffineParametricProblem:
         blocks with the coefficient gradients.
         """
         _, _, dcA, dcF = coeffs or self.eval_coefficients(theta)
-        dA = [self._stiffness(data) for data in dcA.T @ self._block_data]
-        return dA, dcF.T @ np.stack(self.f_blocks)
+        return [self.stiffness(data) for data in dcA.T @ self.A_data], dcF.T @ self.f_data
 
     # -- norms -----------------------------------------------------------
 

@@ -93,8 +93,8 @@ def gradient_from_solutions(problem, theta, u, psi, coeffs=None):
     the affine coefficient gradients.
     """
     _, _, dcA, dcF = coeffs or problem.eval_coefficients(theta)
-    a_terms = np.array([psi @ (blk @ u) for blk in problem.A_blocks])
-    f_terms = np.array([psi @ vec for vec in problem.f_blocks])
+    a_terms = np.array([psi @ (problem.stiffness(data) @ u) for data in problem.A_data])
+    f_terms = np.array([psi @ vec for vec in problem.f_data])
     return dcA.T @ a_terms - dcF.T @ f_terms
 
 

@@ -36,6 +36,10 @@ class RBSolveFailed(RuntimeError):
 # the fill-reducing dof numbering of problem assembly
 ARTIFACT_SCHEMA = 2
 
+# a snapshot whose remainder after orthogonalization has at most this
+# fraction of its norm is already in the span and is not appended
+DEFLATION_TOL = 1e-10
+
 
 def problem_fingerprint(problem):
     """What a stored reduced model must match to be used with ``problem``:
@@ -88,7 +92,7 @@ class ReducedModel:
     """Orthonormal state/adjoint bases plus all reduced affine blocks."""
 
     def __init__(self, basis_u, basis_psi, Au, Ap, Aup, fu, fp, Ou, Op,
-                 provenance, deflation_tol=1e-10):
+                 provenance):
         self.basis_u = basis_u      # (N_h, N_u)
         self.basis_psi = basis_psi  # (N_h, N_p)
         self.Au = Au                # (J_A, N_u, N_u)
@@ -99,14 +103,13 @@ class ReducedModel:
         self.Ou = Ou                # (N_u, s)
         self.Op = Op                # (N_p, s)
         self.provenance = provenance
-        self.deflation_tol = deflation_tol
         self.deflated = []          # (which, theta) for skipped snapshots
         self.fingerprint = None     # problem_fingerprint of the problem it was built for
 
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def empty(cls, problem, deflation_tol=1e-10):
+    def empty(cls, problem):
         """Model with zero-size bases, ready for enrichment."""
         n, ja, jf, s = problem.n_dofs, problem.n_diffusion_terms, problem.n_load_terms, problem.n_obs
         rm = cls(
@@ -120,7 +123,6 @@ class ReducedModel:
             Ou=np.zeros((0, s)),
             Op=np.zeros((0, s)),
             provenance=[],
-            deflation_tol=deflation_tol,
         )
         rm.fingerprint = problem_fingerprint(problem)
         return rm
@@ -145,7 +147,7 @@ class ReducedModel:
             if basis.shape[1]:
                 v = v - basis @ (basis.T @ (problem.gram @ v))
         nrm = problem.v_norm(v)
-        if nrm <= self.deflation_tol * ref or nrm == 0.0:
+        if nrm <= DEFLATION_TOL * ref or nrm == 0.0:
             return None
         return v / nrm
 
@@ -185,7 +187,8 @@ class ReducedModel:
         state = which == "state"
         old, other = (self.basis_u, self.basis_psi) if state else (self.basis_psi, self.basis_u)
         k = old.shape[1]
-        Av = np.column_stack([blk @ v for blk in problem.A_blocks])  # (N_h, J_A)
+        # (N_h, J_A) and C-contiguous: a transposed layout rounds the products below differently
+        Av = np.column_stack([problem.stiffness(data) @ v for data in problem.A_data])
         own = np.zeros((Av.shape[1], k + 1, k + 1))
         own[:, :k, :k] = self.Au if state else self.Ap
         own[:, :k, k] = own[:, k, :k] = (old.T @ Av).T
@@ -194,7 +197,7 @@ class ReducedModel:
         grown = (
             np.column_stack([old, v]),
             own,
-            np.column_stack([self.fu if state else self.fp, np.stack(problem.f_blocks) @ v]),
+            np.column_stack([self.fu if state else self.fp, problem.f_data @ v]),
             np.vstack([self.Ou if state else self.Op, problem.obs_matrix.T @ v]),
         )
         if state:
@@ -356,11 +359,11 @@ class ReducedModel:
     def verify_blocks(self, problem):
         """Largest deviation of any stored block from a direct projection."""
         err = 0.0
-        for j, blk in enumerate(problem.A_blocks):
+        for j, blk in enumerate(map(problem.stiffness, problem.A_data)):
             err = max(err, np.abs(self.Au[j] - self.basis_u.T @ (blk @ self.basis_u)).max(initial=0.0))
             err = max(err, np.abs(self.Ap[j] - self.basis_psi.T @ (blk @ self.basis_psi)).max(initial=0.0))
             err = max(err, np.abs(self.Aup[j] - self.basis_psi.T @ (blk @ self.basis_u)).max(initial=0.0))
-        for k, vec in enumerate(problem.f_blocks):
+        for k, vec in enumerate(problem.f_data):
             err = max(err, np.abs(self.fu[k] - self.basis_u.T @ vec).max(initial=0.0))
             err = max(err, np.abs(self.fp[k] - self.basis_psi.T @ vec).max(initial=0.0))
         err = max(err, np.abs(self.Ou - (problem.obs_matrix.T @ self.basis_u).T).max(initial=0.0))
@@ -371,7 +374,7 @@ class ReducedModel:
 
     def save(self, path):
         """Write bases, blocks, and provenance to a ``.npz`` artifact."""
-        meta = {"deflation_tol": self.deflation_tol, "problem": self.fingerprint}
+        meta = {"problem": self.fingerprint}
         np.savez(
             path,
             basis_u=self.basis_u,
@@ -404,7 +407,6 @@ class ReducedModel:
             Ou=data["Ou"],
             Op=data["Op"],
             provenance=prov,
-            deflation_tol=meta["deflation_tol"],
         )
         rm.fingerprint = meta.get("problem")
         return rm

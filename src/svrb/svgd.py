@@ -181,7 +181,9 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
     step sizes are replayed, and exactly ``len(alpha_schedule)`` iterations
     run -- this pins matched trajectories for discrepancy studies.
     Each record and the log's meta carry ``evaluations``, the growth of
-    ``backend.n_evaluations`` over the iteration and over the run.
+    ``backend.n_evaluations`` over the iteration and over the run.  Each
+    record's ``timers`` holds the growth of every ``backend.timers`` entry
+    over the iteration and ``svgd_overhead``, the rest of its wall time.
     """
     if initial_particles is not None:
         particles = np.array(initial_particles, dtype=float)
@@ -205,6 +207,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
 
         t0 = time.perf_counter()
         n_evaluations = backend.n_evaluations
+        timers0 = dict(backend.timers)
         try:
             etas, grads = backend.evaluate_batch(ensemble.particles)
         except _TRIAL_FAILURES as exc:
@@ -243,12 +246,12 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
         ensemble.particles = updated
         ensemble.iteration = l + 1
 
+        timers = {k: v - timers0.get(k, 0.0) for k, v in backend.timers.items()}
+        timers["svgd_overhead"] = time.perf_counter() - t0 - sum(timers.values())
         record = IterationRecord(
             l=l, t=t, alpha=alpha, backend=backend.descriptor,
             evaluations=backend.n_evaluations - n_evaluations,
-            clamped=n_clamped, flags=flags + extra.pop("flags", []),
-            timers=dict(getattr(backend, "timers", {})) | {
-                "svgd_overhead": time.perf_counter() - t0},
+            clamped=n_clamped, flags=flags + extra.pop("flags", []), timers=timers,
         )
         for key, value in extra.items():
             setattr(record, key, value)

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svrb import fem, hifi
+from svrb import fem, hifi, verify
 from svrb.cases import (
     AffineTerm,
     UniformBox,
@@ -98,7 +98,7 @@ class TestAssembly:
             assemble_problem(case)
 
     def test_blocks_symmetric(self, uniform4_8):
-        for blk in uniform4_8.A_blocks + [uniform4_8.gram]:
+        for blk in blocks(uniform4_8) + [uniform4_8.gram]:
             gap = abs(blk - blk.T).max()
             assert gap <= 1e-12 * abs(blk).max()
 
@@ -136,6 +136,11 @@ class TestCoefficients:
             assert np.allclose(dcF, 0.0)
 
 
+def blocks(problem):
+    """The stiffness blocks as separate sparse matrices."""
+    return [problem.stiffness(data) for data in problem.A_data]
+
+
 def unit_stiffness(problem):
     """Stiffness matrix of the unit diffusivity in the problem's dof numbering."""
     stencil = fem.Stencil(problem.mesh, problem.free_dofs)
@@ -159,10 +164,10 @@ class TestStackedAssembly:
     def test_matches_per_block_reference(self, name):
         case = self.CASES[name]()
         p = assemble_problem(case)
-        blocks, loads, gram = reference_arrays(case, p.free_dofs)
-        for got, want in zip(p.A_blocks + [p.gram], blocks + [gram]):
+        ref_blocks, loads, gram = reference_arrays(case, p.free_dofs)
+        for got, want in zip(blocks(p) + [p.gram], ref_blocks + [gram]):
             assert abs(got - want).max() <= 1e-14 * abs(want).max()
-        for got, want in zip(p.f_blocks, loads):
+        for got, want in zip(p.f_data, loads):
             assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
         obs = fem.point_eval_weights(p.mesh, p.obs_points)[p.free_dofs]
         assert abs(p.obs_matrix - obs).max() == 0.0
@@ -175,11 +180,13 @@ class TestStackedAssembly:
         assert not np.array_equal(uniform4_8.free_dofs, natural)
 
     def test_blocks_and_gram_share_one_sorted_structure(self, gaussian9_9):
-        first = gaussian9_9.A_blocks[0]
-        for mat in gaussian9_9.A_blocks[1:] + [gaussian9_9.gram]:
-            assert np.array_equal(mat.indptr, first.indptr)
-            assert np.array_equal(mat.indices, first.indices)
-        assert first.has_sorted_indices
+        gram = gaussian9_9.gram
+        assert gaussian9_9.A_data.shape == (9, gram.nnz)
+        assert gram.indices.dtype == gram.indptr.dtype == np.int32
+        for blk in blocks(gaussian9_9) + list(gaussian9_9.operator_derivatives(np.zeros(9))[0]):
+            assert np.shares_memory(blk.indices, gram.indices)  # shared, not copied
+            assert np.shares_memory(blk.indptr, gram.indptr)
+        assert gram.has_sorted_indices
 
     @pytest.mark.parametrize("case", [uniform4_case(32), gaussian9_case(63)],
                              ids=["uniform4-32", "gaussian9-63"])
@@ -236,34 +243,28 @@ class TestOperator:
         assert np.array_equal(err.value.theta, thetas[bad[0]])
         assert err.value.min_value == pytest.approx(lows[bad[0]], rel=1e-12, abs=1e-12)
 
-    def test_blocks_of_different_sparsity_rejected(self, uniform4_8):
-        blk = uniform4_8.A_blocks[1].tolil()
-        blk[0, uniform4_8.n_dofs - 1] = 1.0
-        with pytest.raises(ConfigurationError, match="sparsity"):
-            dataclasses.replace(uniform4_8, A_blocks=[uniform4_8.A_blocks[0], blk.tocsr()]
-                                + uniform4_8.A_blocks[2:])
-
     def test_non_symmetric_block_rejected(self, uniform4_8):
-        blk = uniform4_8.A_blocks[1].copy()
-        row = np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr))
-        blk.data[np.argmax(blk.indices != row)] += 1.0  # one off-diagonal entry
-        with pytest.raises(ConfigurationError, match="symmetric"):
-            dataclasses.replace(uniform4_8, A_blocks=[uniform4_8.A_blocks[0], blk]
-                                + uniform4_8.A_blocks[2:])
+        A_data = uniform4_8.A_data.copy()
+        gram = uniform4_8.gram
+        row = np.repeat(np.arange(gram.shape[0]), np.diff(gram.indptr))
+        A_data[1, np.argmax(gram.indices != row)] += 1.0  # one off-diagonal entry of block 1
+        with pytest.raises(ConfigurationError, match="stiffness blocks are not symmetric"):
+            dataclasses.replace(uniform4_8, A_data=A_data)
 
     def test_non_symmetric_structure_rejected(self, uniform4_8):
-        blocks = []
-        for blk in uniform4_8.A_blocks:  # one shared, non-symmetric structure
-            blk = blk.tolil()
-            blk[0, uniform4_8.n_dofs - 1] = 1.0
-            blocks.append(blk.tocsr())
-        with pytest.raises(ConfigurationError, match="symmetric"):
-            dataclasses.replace(uniform4_8, A_blocks=blocks)
+        matrices = []
+        for mat in blocks(uniform4_8) + [uniform4_8.gram]:  # one shared, non-symmetric structure
+            mat = mat.tolil()
+            mat[0, uniform4_8.n_dofs - 1] = 1.0
+            matrices.append(mat.tocsr())
+        with pytest.raises(ConfigurationError, match="stiffness blocks are not symmetric"):
+            dataclasses.replace(uniform4_8, A_data=np.stack([m.data for m in matrices[:-1]]),
+                                gram=matrices[-1])
 
     def test_uniform4_derivatives_are_the_mode_blocks(self, uniform4_8):
         dA, dF = uniform4_8.operator_derivatives(np.array([0.3, -1.0, 0.5, 1.2]))
-        for j in range(4):
-            assert abs(dA[j] - uniform4_8.A_blocks[j + 1]).max() == 0.0
+        for dA_j, mode_block in zip(dA, blocks(uniform4_8)[1:]):
+            assert abs(dA_j - mode_block).max() == 0.0
         assert np.all(dF == 0.0)
 
     def test_gaussian9_derivatives_match_finite_differences(self, gaussian9_9):
@@ -275,6 +276,42 @@ class TestOperator:
             e[j] = h
             fd = (p.operator(theta + e)[0] - p.operator(theta - e)[0]) / (2 * h)
             assert abs(fd - dA[j]).max() <= 1e-7 * abs(dA[j]).max()
+
+    @pytest.mark.parametrize("name", ["uniform4_16", "gaussian9_9"])
+    def test_block_products_match_per_block_matrices_bitwise(self, name, request):
+        # every product with the blocks does the arithmetic of separately
+        # held per-block matrices, so no output moves by a rounding error
+        p = request.getfixturevalue(name)
+        held = [p.stiffness(data.copy()) for data in p.A_data]
+        stacked = np.stack([blk.data for blk in held])
+        theta = verify.draw_coercive(p, np.random.default_rng(5), 1)[0]
+        cA, cF, dcA, dcF = p.eval_coefficients(theta)
+
+        A, f = p.operator(theta)
+        assert np.array_equal(A.data, cA @ stacked)
+        assert np.array_equal(f, sum(c * vec for c, vec in zip(cF, p.f_data)))
+        dA, dF = p.operator_derivatives(theta)
+        for got, want in zip(dA, dcA.T @ stacked):
+            assert np.array_equal(got.data, want)
+        assert np.array_equal(dF, dcF.T @ p.f_data)
+
+        ev = hifi.evaluate(p, theta)
+        a_terms = np.array([ev.psi @ (blk @ ev.u) for blk in held])
+        f_terms = np.array([ev.psi @ vec for vec in p.f_data])
+        assert np.array_equal(ev.grad_eta, dcA.T @ a_terms - dcF.T @ f_terms)
+
+        rm = verify.build_small_rb(p, np.random.default_rng(6), 3)
+        old, other = rm.basis_u.copy(), rm.basis_psi.copy()
+        ev = hifi.evaluate(p, verify.draw_coercive(p, np.random.default_rng(7), 1)[0])
+        v = rm._orthogonalize(p, ev.u, old)
+        rm._append(p, v, "state")
+        Av = np.column_stack([blk @ v for blk in held])
+        k = old.shape[1]
+        assert np.array_equal(rm.Au[:, :k, k], (old.T @ Av).T)
+        assert np.array_equal(rm.Au[:, k, :k], (old.T @ Av).T)
+        assert np.array_equal(rm.Au[:, k, k], v @ Av)
+        assert np.array_equal(rm.Aup[:, :, k], (other.T @ Av).T)
+        assert np.array_equal(rm.fu[:, k], p.f_data @ v)
 
     def test_conservative_bound_underestimates(self, uniform4_8):
         rng = np.random.default_rng(1)
@@ -324,12 +361,14 @@ class TestInvariants:
     def test_manufactured_solution_rate(self):
         errors = []
         for n in (8, 16, 32):
-            p = assemble_problem(manufactured_case(n))
+            case = manufactured_case(n)
+            p = assemble_problem(case)
             u = hifi.solve_state(p, np.zeros(1))
-            E = fem.point_eval_weights(p.mesh, p.quad_points)
-            uq = E.T @ embed(p, u)
-            exact = np.sin(np.pi * p.quad_points[:, 1])
-            errors.append(np.sqrt(np.sum(p.quad_weights * (uq - exact) ** 2)))
+            areas, _ = fem.element_geometry(p.mesh)
+            points, weights = fem.quadrature_points(p.mesh, case.quad_rule, areas)
+            uq = fem.point_eval_weights(p.mesh, points).T @ embed(p, u)
+            exact = np.sin(np.pi * points[:, 1])
+            errors.append(np.sqrt(np.sum(weights * (uq - exact) ** 2)))
         ratios = [errors[i] / errors[i + 1] for i in range(2)]
         assert all(r > 3.5 for r in ratios), ratios
 
@@ -352,8 +391,11 @@ class TestInvariants:
             assert observed[i] == pytest.approx(val, rel=1e-12, abs=1e-15)
 
     def test_quadrature_weights_sum_to_area(self, uniform4_8, gaussian9_9):
-        for p in (uniform4_8, gaussian9_9):
-            assert p.quad_weights.sum() == pytest.approx(1.0, rel=1e-12)
+        for p, rule in ((uniform4_8, "gauss3"), (gaussian9_9, "centroid")):
+            areas, _ = fem.element_geometry(p.mesh)
+            points, weights = fem.quadrature_points(p.mesh, rule, areas)
+            assert len(points) == len(p.coeff_at_quad)
+            assert weights.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDataRule:

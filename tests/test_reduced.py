@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from svrb import adaptive, hifi
 from svrb.cases import assemble_problem, uniform4_case
-from svrb.reduced import RBSolveFailed, ReducedModel
+from svrb.reduced import RBSolveFailed, ReducedModel, problem_fingerprint
 from svrb.verify import build_small_rb, draw_coercive
 
 from test_hifi import fd_gradient
@@ -344,6 +345,22 @@ class TestInvariantsAndPersistence:
                 reps.append(time.perf_counter())
             times.append(min(np.diff(reps)))
         assert times[1] <= 2.0 * times[0], times
+
+    def test_load_accepts_a_stored_deflation_tolerance(self, uniform4_16, rb_uniform4_16,
+                                                       tmp_path):
+        # rb.npz files of the same schema written with the former
+        # ``deflation_tol`` knob carry it in their meta
+        path = tmp_path / "rb.npz"
+        rb_uniform4_16.save(path)
+        with np.load(path) as stored:
+            arrays = dict(stored)
+        meta = json.loads(str(arrays["meta"]))
+        assert "deflation_tol" not in meta
+        arrays["meta"] = json.dumps({"deflation_tol": 1e-10, **meta})
+        np.savez(path, **arrays)
+        rm = ReducedModel.load(path)
+        assert rm.fingerprint == problem_fingerprint(uniform4_16)
+        assert np.array_equal(rm.Aup, rb_uniform4_16.Aup)
 
     def test_save_load_roundtrip(self, uniform4_16, rb_uniform4_16, tmp_path):
         p, rm = uniform4_16, rb_uniform4_16

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svrb.backends import GaussianBackend, HiFiBackend
+from svrb.backends import GaussianBackend, HiFiBackend, RBBackend
 from svrb.cases import StandardGaussian, UniformBox
 from svrb.fem import CoercivityLost
+from svrb.verify import build_small_rb
 from svrb.svgd import (
     NumericalAbort,
     SVGDConfig,
@@ -385,6 +386,21 @@ class TestRun:
         _, log = svgd_run(GaussianBackend(np.zeros(1)), prior, cfg, hook=hook)
         assert [r.eps_r for r in log.records] == [0.5] * 3
         assert [r.n_state for r in log.records] == [1, 2, 3]
+
+    @pytest.mark.parametrize("kind", ["hifi", "rb"])
+    def test_record_timers_are_per_iteration(self, gaussian9_9, kind):
+        p = gaussian9_9
+        backend = (HiFiBackend(p) if kind == "hifi"
+                   else RBBackend(p, build_small_rb(p, np.random.default_rng(3), 3)))
+        cfg = SVGDConfig(n_particles=4, max_steps=3, tol=1e-12, seed=14)
+        _, log = svgd_run(backend, p.prior, cfg)
+        assert len(log.records) == 3
+        for name, total in backend.timers.items():
+            assert total > 0.0
+            assert sum(r.timers[name] for r in log.records) == pytest.approx(total, rel=1e-9)
+        for r in log.records:
+            assert set(r.timers) == set(backend.timers) | {"svgd_overhead"}
+            assert all(value >= 0.0 for value in r.timers.values()), r.timers
 
     def test_one_record_per_iteration(self):
         prior = StandardGaussian(2)
