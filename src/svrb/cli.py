@@ -57,6 +57,22 @@ def _load_rb(path, problem):
     return rm
 
 
+def _read_run_file(read, path):
+    """``read(path)``; a missing or damaged run file is a configuration error."""
+    try:
+        return read(path)
+    except (OSError, ValueError, IndexError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc!r}") from exc
+
+
+def _make_output_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc!r}") from exc
+    return path
+
+
 def _dump_matrices(problem, outdir):
     import scipy.io as sio
 
@@ -75,8 +91,7 @@ def _dump_matrices(problem, outdir):
 def cmd_run(cfg):
     """Execute one experiment end to end and persist its artifacts."""
     problem = assemble_problem(cfg.build_case())
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _make_output_dir(cfg.output_dir)
     if cfg.dump_matrices:
         _dump_matrices(problem, outdir)
 
@@ -127,10 +142,11 @@ def cmd_analyze(run_dirs):
         if not os.path.isfile(cfg_path):
             raise ConfigError(f"{rundir} is not a run directory (missing config.json)")
         cfg = ExperimentConfig.from_json(cfg_path)
-        log = RunLog.read_jsonl(os.path.join(rundir, "runlog.jsonl"))
+        log = _read_run_file(RunLog.read_jsonl, os.path.join(rundir, "runlog.jsonl"))
         log.write_history_csv(os.path.join(rundir, "history.csv"))
 
-        particles, final_l = _read_final_particles(os.path.join(rundir, "particles.csv"))
+        particles, final_l = _read_run_file(_read_final_particles,
+                                            os.path.join(rundir, "particles.csv"))
         _write_scatter(rundir, particles, final_l)
 
         rb_path = os.path.join(rundir, "rb.npz")
@@ -173,8 +189,7 @@ def speedup_ratio(hifi_eval_seconds, rb_build_seconds, rb_eval_seconds):
 def cmd_bench(cfg):
     """Matched high-fidelity and reduced pipelines with a timing table."""
     problem = assemble_problem(cfg.build_case())
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _make_output_dir(cfg.output_dir)
     scfg = _svgd_config(cfg)
 
     # warm-up factorization, excluded from all timings

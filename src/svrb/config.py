@@ -12,7 +12,7 @@ import types
 import typing
 from dataclasses import asdict, dataclass, field, fields
 
-from .cases import gaussian9_case, uniform4_case
+from .cases import CaseConfig, gaussian9_case, uniform4_case
 
 SCHEMA_VERSION = 1
 
@@ -107,11 +107,14 @@ def _load_custom_case(case):
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
-    except OSError as exc:
-        raise ConfigError(f"cannot read custom case module {path}: {exc}") from exc
+    except (OSError, SyntaxError, ImportError) as exc:
+        raise ConfigError(f"cannot read custom case module {path}: {exc!r}") from exc
     if not hasattr(module, "build_case"):
         raise ConfigError(f"custom case module {path} has no build_case()")
-    return module.build_case()
+    case = module.build_case()  # an error raised in there is the module's own and surfaces
+    if not isinstance(case, CaseConfig):
+        raise ConfigError(f"build_case() of {path} returned {case!r}, not a CaseConfig")
+    return case
 
 
 _TOP_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

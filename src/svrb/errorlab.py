@@ -135,11 +135,10 @@ def bound_constants(problem, theta):
 
 def rb_sensitivities(rm, problem, theta, u_r, psi_r):
     """Reduced parameter sensitivities of the state and adjoint coefficients."""
-    coeffs = problem.eval_coefficients(theta)
-    Au, Ap, _, _ = rm._online_operators(problem, theta, coeffs)
+    cA, cF, dcA, dcF = problem.eval_coefficients(theta)
+    Au, Ap, _, _ = rm._online_operators(cA, cF)
     # the derivative operators are the same affine sums over the coefficient gradients
-    _, _, dcA, dcF = coeffs
-    dAu, dAp, dfu, _ = rm._online_operators(problem, theta, (dcA.T, dcF.T, None, None))
+    dAu, dAp, dfu, _ = rm._online_operators(dcA.T, dcF.T)
     # one solve per system, the d parameter directions as right-hand sides
     du = np.linalg.solve(Au, (dfu - dAu @ u_r).T).T
     rhs_p = -(np.swapaxes(dAp, 1, 2) @ psi_r) - problem.misfit_weighted(du @ rm.Ou) @ rm.Op.T
@@ -194,7 +193,7 @@ def true_errors(problem, rm, theta):
     op = hifi.Factorization(problem, theta)
     h = hifi.evaluate(problem, theta, op)
     ev, u_r, psi_r, e_u, e_psi = compare(problem, rm, theta, h.u, h.psi)
-    du_h, dpsi_h = hifi.solve_sensitivities(problem, theta, h.u, h.psi, op)
+    du_h, dpsi_h = hifi.solve_sensitivities(problem, op, h.u, h.psi)
     du_r, dpsi_r = rb_sensitivities(rm, problem, theta, ev.u_r, ev.psi_r)
     du_r_full = rm.reconstruct(du_r, "state")
     dpsi_r_full = rm.reconstruct(dpsi_r, "adjoint")

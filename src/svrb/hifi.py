@@ -7,10 +7,11 @@ made fill-reducing once (:func:`~svrb.fem.spd_lu`), so no factorization
 orders its matrix; the residual check after every solve is the safety
 net.  The affine coefficients are evaluated once per factorization
 and shared by the coercivity guard, the assembly, the gradient and the
-sensitivities.  :func:`evaluate` is the one state-then-adjoint sequence:
-callers read the adjoint and the gradient from its result.
-:func:`solve_state` and :func:`potential` need only the state.  The
-operator is symmetric (problem assembly rejects a non-symmetric block);
+sensitivities.  :func:`evaluate` is the one state-then-adjoint pass
+(potential, adjoint, gradient); :func:`solve_sensitivities` reuses its
+factorization, and :func:`solve_state` and :func:`potential` need only the
+state.  One misfit helper forms the observation residual for both passes.
+The operator is symmetric (problem assembly rejects a non-symmetric block);
 adjoint solves still go through the transpose-solve entry point, which
 keeps each adjoint equation written as the transpose it is.
 """
@@ -62,51 +63,54 @@ class HiFiEvaluation:
     grad_eta: np.ndarray = None
 
 
-def solve_state(problem, theta, op=None):
+def solve_state(problem, theta):
     """Solve the forward problem at ``theta``."""
-    op = op or Factorization(problem, theta)
+    op = Factorization(problem, theta)
     return op.solve(op.f)
 
 
-def adjoint_rhs(problem, u):
-    """Right-hand side of the adjoint problem: the misfit functional."""
+def _misfit(problem, u):
+    """Potential of a state, the noise-weighted half squared observation
+    misfit, and the weighted residual it is formed from."""
     residual = problem.y - problem.observe(u)
-    return problem.obs_matrix @ problem.misfit_weighted(residual)
+    weighted = problem.misfit_weighted(residual)
+    return 0.5 * float(residual @ weighted), weighted
 
 
-def potential_of_state(problem, u):
-    """Noise-weighted half squared misfit of a state vector."""
-    residual = problem.y - problem.observe(u)
-    return 0.5 * float(residual @ problem.misfit_weighted(residual))
-
-
-def potential(problem, theta, op=None):
+def potential(problem, theta):
     """Potential (negative log-likelihood) at ``theta``; returns ``(eta, u)``."""
-    u = solve_state(problem, theta, op)
-    return potential_of_state(problem, u), u
+    u = solve_state(problem, theta)
+    return _misfit(problem, u)[0], u
 
 
-def gradient_from_solutions(problem, theta, u, psi, coeffs=None):
-    """Parameter gradient of the potential by the adjoint formula.
+def evaluate(problem, theta, op=None):
+    """Full evaluation (state, adjoint, potential, gradient) at ``theta``.
 
-    Component ``j`` is ``psi^T (d_j A) u - psi^T (d_j f)`` expanded through
-    the affine coefficient gradients.
+    The adjoint's right-hand side is the misfit functional.  Gradient
+    component ``j`` is ``psi^T (d_j A) u - psi^T (d_j f)`` expanded through
+    the affine coefficient gradients.  Pass ``op`` to reuse a factorization
+    at the same ``theta``, e.g. for :func:`solve_sensitivities` afterwards.
     """
-    _, _, dcA, dcF = coeffs or problem.eval_coefficients(theta)
+    op = op or Factorization(problem, theta)
+    u = op.solve(op.f)
+    eta, weighted = _misfit(problem, u)
+    psi = op.solve(problem.obs_matrix @ weighted, transpose=True)
+    _, _, dcA, dcF = op.coeffs
     a_terms = np.array([psi @ (problem.stiffness(data) @ u) for data in problem.A_data])
     f_terms = np.array([psi @ vec for vec in problem.f_data])
-    return dcA.T @ a_terms - dcF.T @ f_terms
+    return HiFiEvaluation(theta=np.asarray(theta, dtype=float), u=u, psi=psi, eta=eta,
+                          grad_eta=dcA.T @ a_terms - dcF.T @ f_terms)
 
 
-def solve_sensitivities(problem, theta, u, psi, op=None):
-    """Parameter sensitivities of the state and adjoint.
+def solve_sensitivities(problem, op, u, psi):
+    """Parameter sensitivities of the state and adjoint at the parameter
+    of the factorization ``op``.
 
     ``du[j]`` solves ``A du_j = d_j f - (d_j A) u`` and ``dpsi[j]`` solves
     ``A^T dpsi_j = -(d_j A)^T psi - O P O^T du_j`` with ``P`` the noise
-    precision; the factorization is reused across all ``2d`` solves.
+    precision; ``op`` serves all ``2d`` solves.
     """
-    op = op or Factorization(problem, theta)
-    dA, dF = problem.operator_derivatives(theta, op.coeffs)
+    dA, dF = problem.operator_derivatives(op.theta, op.coeffs)
     du = np.empty((problem.dim, problem.n_dofs))
     dpsi = np.empty((problem.dim, problem.n_dofs))
     for j in range(problem.dim):
@@ -115,21 +119,3 @@ def solve_sensitivities(problem, theta, u, psi, op=None):
             problem.observe(du[j]))
         dpsi[j] = op.solve(rhs_psi, transpose=True)
     return du, dpsi
-
-
-def evaluate(problem, theta, op=None):
-    """Full evaluation (state, adjoint, potential, gradient) at ``theta``.
-
-    Pass ``op`` to reuse a factorization at the same ``theta``, e.g. for
-    :func:`solve_sensitivities` afterwards.
-    """
-    op = op or Factorization(problem, theta)
-    u = op.solve(op.f)
-    psi = op.solve(adjoint_rhs(problem, u), transpose=True)
-    return HiFiEvaluation(
-        theta=np.asarray(theta, dtype=float),
-        u=u,
-        psi=psi,
-        eta=potential_of_state(problem, u),
-        grad_eta=gradient_from_solutions(problem, theta, u, psi, op.coeffs),
-    )

@@ -9,11 +9,12 @@ the corrected potential, incremental solves, and both gradients -- costs
 work independent of the high-fidelity dimension.
 
 One online pass over a stack of parameters (the particles) assembles the
-reduced operators once and yields the reduced states and adjoints, the
-plain potentials and the dual-weighted residuals, with one stacked dense
-solve per system; :meth:`ReducedModel.potential`,
-:meth:`ReducedModel.evaluate` and the greedy indicator all read from it.
-A single parameter is a stack of one.
+reduced operators once and yields the reduced states, their weighted
+observation misfits, the reduced adjoints, the plain potentials and the
+dual-weighted residuals, with one stacked dense solve per system.
+:meth:`ReducedModel.potential` and the greedy indicator read it as it is;
+:meth:`ReducedModel.evaluate` adds the two incremental solves and both
+gradients.  A single parameter is a stack of one.
 
 Conventions: reduced matrices follow the Galerkin layout ``B[m, n] =
 A(basis_n, basis_m)``; the cross block maps state coefficients to adjoint
@@ -58,6 +59,7 @@ class _Online(NamedTuple):
     ops: tuple            # (Au, Ap, fu, fp) assembled at every parameter
     u_r: np.ndarray       # (M, N_u)
     psi_r: np.ndarray     # (M, N_p)
+    misfit: np.ndarray    # (M, s) noise-weighted observation residual of the reduced state
     eta_r: np.ndarray     # (M,)
     delta: np.ndarray     # (M,) dual-weighted residual, the greedy indicator up to sign
 
@@ -209,14 +211,15 @@ class ReducedModel:
 
     # -- online evaluation ---------------------------------------------------
     #
-    # Every method below takes one parameter ``(d,)`` or a stack ``(M, d)``
-    # and returns per-row results with the same leading shape.  Reduced
-    # operators are built for the whole stack at once and each system is
-    # solved in one stacked call; the cross block is only ever applied term
-    # by term, so no ``(M, N_p, N_u)`` array is formed.
+    # Every public method below takes one parameter ``(d,)`` or a stack
+    # ``(M, d)`` and returns per-row results with the same leading shape.
+    # Reduced operators are built for the whole stack at once and each
+    # system is solved in one stacked call; the cross block is only ever
+    # applied term by term, so no ``(M, N_p, N_u)`` array is formed.
 
-    def _online_operators(self, problem, thetas, coeffs=None):
-        cA, cF, _, _ = coeffs or problem.eval_coefficients(thetas)
+    def _online_operators(self, cA, cF):
+        """Reduced state and adjoint operators and loads, the affine sums
+        over coefficient rows ``cA``, ``cF``."""
         Au = np.tensordot(cA, self.Au, axes=1)
         Ap = np.tensordot(cA, self.Ap, axes=1)
         return Au, Ap, cF @ self.fu, cF @ self.fp
@@ -242,20 +245,6 @@ class ReducedModel:
         except np.linalg.LinAlgError as exc:
             raise RBSolveFailed(f"{what}: singular reduced system ({exc})") from exc
 
-    def solve_state(self, problem, theta, operators=None):
-        """Reduced state coefficients at ``theta``."""
-        thetas, single = _stack(theta)
-        Au, _, fu, _ = operators or self._online_operators(problem, thetas)
-        return _unstack(self._dense_solve(Au, fu, "state"), single)
-
-    def solve_adjoint(self, problem, theta, u_r, operators=None):
-        """Reduced adjoint coefficients given the reduced state."""
-        thetas, single = _stack(theta)
-        _, Ap, _, _ = operators or self._online_operators(problem, thetas)
-        residual = problem.y - np.atleast_2d(u_r) @ self.Ou
-        b = problem.misfit_weighted(residual) @ self.Op.T
-        return _unstack(self._dense_solve(np.swapaxes(Ap, 1, 2), b, "adjoint"), single)
-
     def dwr(self, problem, theta, u_r, psi_r, coeffs=None):
         """Dual-weighted residual: state residual tested with the adjoint."""
         thetas, single = _stack(theta)
@@ -265,20 +254,21 @@ class ReducedModel:
                  - np.einsum("mp,mp->m", psi_r, cF @ self.fp))
         return _unstack(delta, single)
 
-    def _solve_online(self, problem, thetas, coeffs=None):
-        """Coefficients, operators, reduced state and adjoint, plain
-        potential and dual-weighted residual for the stack ``thetas``: the
-        one pass behind :meth:`potential`, :meth:`evaluate` and the greedy
-        indicator.
+    def _solve_online(self, problem, thetas, coeffs):
+        """The one online pass over the stack ``thetas`` with its
+        coefficients ``coeffs``: operators, reduced state, weighted misfit,
+        reduced adjoint, plain potential and dual-weighted residual, behind
+        :meth:`potential`, :meth:`evaluate` and the greedy indicator.
         """
-        coeffs = coeffs or problem.eval_coefficients(thetas)
-        ops = self._online_operators(problem, thetas, coeffs)
-        u_r = self.solve_state(problem, thetas, ops)
-        psi_r = self.solve_adjoint(problem, thetas, u_r, ops)
+        ops = self._online_operators(coeffs[0], coeffs[1])
+        Au, Ap, fu, _ = ops
+        u_r = self._dense_solve(Au, fu, "state")
         residual = problem.y - u_r @ self.Ou
-        eta_r = 0.5 * np.einsum("ms,ms->m", residual, problem.misfit_weighted(residual))
+        misfit = problem.misfit_weighted(residual)
+        psi_r = self._dense_solve(np.swapaxes(Ap, 1, 2), misfit @ self.Op.T, "adjoint")
+        eta_r = 0.5 * np.einsum("ms,ms->m", residual, misfit)
         delta = self.dwr(problem, thetas, u_r, psi_r, coeffs)
-        return _Online(coeffs, ops, u_r, psi_r, eta_r, delta)
+        return _Online(coeffs, ops, u_r, psi_r, misfit, eta_r, delta)
 
     def potential(self, problem, theta, coeffs=None):
         """Plain and corrected reduced potentials.
@@ -287,46 +277,32 @@ class ReducedModel:
         holds the coefficients of the stack ``(M, d)`` of ``theta``.
         """
         thetas, single = _stack(theta)
-        on = self._solve_online(problem, thetas, coeffs)
+        on = self._solve_online(problem, thetas, coeffs or problem.eval_coefficients(thetas))
         return tuple(_unstack(x, single)
                      for x in (on.eta_r, on.eta_r + on.delta, on.u_r, on.psi_r))
-
-    def incrementals(self, problem, theta, u_r, psi_r, coeffs=None, operators=None):
-        """Incremental adjoint and state solves for the corrected gradient.
-
-        Returns ``(psi_hat, u_hat)``.  The incremental adjoint carries the
-        state residual; the incremental state collects the adjoint residual,
-        the misfit functional, and the observation coupling of the
-        incremental adjoint.
-        """
-        thetas, single = _stack(theta)
-        coeffs = coeffs or problem.eval_coefficients(thetas)
-        Au, Ap, _, fp = operators or self._online_operators(problem, thetas, coeffs)
-        cA = coeffs[0]
-        u_r, psi_r = np.atleast_2d(u_r), np.atleast_2d(psi_r)
-        psi_hat = self._dense_solve(Ap, fp - self._apply(cA, self.Aup, u_r),
-                                    "incremental adjoint")
-        residual = problem.y - u_r @ self.Ou
-        rhs = (
-            -self._apply(cA, self.Aup, psi_r, transpose=True)
-            + problem.misfit_weighted(residual) @ self.Ou.T
-            - problem.misfit_weighted(psi_hat @ self.Op) @ self.Ou.T
-        )
-        u_hat = self._dense_solve(np.swapaxes(Au, 1, 2), rhs, "incremental state")
-        return _unstack(psi_hat, single), _unstack(u_hat, single)
 
     def evaluate(self, problem, theta, coeffs=None):
         """All online quantities at ``theta`` in one pass.
 
-        The gradients of the plain and the corrected reduced potentials
-        follow from the reduced state and adjoint and the incremental
-        solutions.  ``coeffs`` is as in :meth:`potential`.
+        On top of the online pass, the incremental adjoint (carrying the
+        state residual) and the incremental state (collecting the adjoint
+        residual, the misfit functional and the observation coupling of the
+        incremental adjoint) give the gradients of the plain and the
+        corrected reduced potentials.  ``coeffs`` is as in :meth:`potential`.
         """
         thetas, single = _stack(theta)
-        on = self._solve_online(problem, thetas, coeffs)
+        on = self._solve_online(problem, thetas, coeffs or problem.eval_coefficients(thetas))
         u_r, psi_r = on.u_r, on.psi_r
-        _, _, dcA, dcF = on.coeffs
-        psi_hat, u_hat = self.incrementals(problem, thetas, u_r, psi_r, on.coeffs, on.ops)
+        Au, Ap, _, fp = on.ops
+        cA, _, dcA, dcF = on.coeffs
+        psi_hat = self._dense_solve(Ap, fp - self._apply(cA, self.Aup, u_r),
+                                    "incremental adjoint")
+        rhs = (
+            -self._apply(cA, self.Aup, psi_r, transpose=True)
+            + on.misfit @ self.Ou.T
+            - problem.misfit_weighted(psi_hat @ self.Op) @ self.Ou.T
+        )
+        u_hat = self._dense_solve(np.swapaxes(Au, 1, 2), rhs, "incremental state")
 
         def chain(dc, terms):  # sum over terms of coefficient gradient times term
             return np.einsum("mjd,mj->md", dc, terms)

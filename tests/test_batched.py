@@ -60,6 +60,23 @@ class TestStackMatchesRows:
                      "u_r", "psi_r", "u_hat", "psi_hat"):
             assert_rows_match(getattr(ev, name), [getattr(r, name) for r in rows])
 
+    def test_one_online_pass_behind_every_reader(self, case):
+        # potential, evaluate and the greedy indicator read the same online pass
+        p, rm, thetas = case
+        eta_r, eta_delta, u_r, psi_r = rm.potential(p, thetas)
+        ev = rm.evaluate(p, thetas)
+        on = rm._solve_online(p, thetas, p.eval_coefficients(thetas))  # the indicator's pass
+        for name, got in (("u_r", u_r), ("psi_r", psi_r), ("eta_r", eta_r)):
+            assert np.array_equal(got, getattr(ev, name))
+            assert np.array_equal(got, getattr(on, name))
+        assert np.array_equal(on.delta, ev.delta)
+        assert np.array_equal(eta_delta, ev.eta_delta)
+        assert np.array_equal(rm.dwr(p, thetas, u_r, psi_r), ev.delta)
+        n_state = rm.n_state
+        sweep = greedy_sweep(rm, p, thetas, tol=np.inf)
+        assert rm.n_state == n_state and sweep.n_enriched == 0
+        assert sweep.max_indicator == np.abs(ev.delta).max()
+
     def test_single_parameter_returns_scalars(self, case):
         p, rm, thetas = case
         eta_r, eta_delta, u_r, psi_r = rm.potential(p, thetas[0])

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import tempfile
 import time
 
@@ -351,6 +352,36 @@ class TestRun:
         assert "cannot read reduced model" in capsys.readouterr().err
 
 
+class TestBadInputExits2:
+    @pytest.mark.parametrize("source, message", [
+        ("def build_case(:\n", "SyntaxError"),
+        ("import svrb_no_such_module\n", "ModuleNotFoundError"),
+        ("def build_case():\n    return 3\n", "returned 3, not a CaseConfig"),
+    ], ids=["syntax-error", "failing-import", "not-a-case"])
+    def test_bad_custom_case_module(self, tmp_path, capsys, source, message):
+        module = tmp_path / "case.py"
+        module.write_text(source)
+        cfg = write_config(tmp_path / "c.json", case={"name": "custom", "module": str(module)})
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_error_inside_build_case_surfaces(self, tmp_path):
+        module = tmp_path / "case.py"
+        module.write_text("def build_case():\n    raise ZeroDivisionError('in the case')\n")
+        cfg = write_config(tmp_path / "c.json", case={"name": "custom", "module": str(module)})
+        with pytest.raises(ZeroDivisionError, match="in the case"):
+            main(["run", "--config", str(cfg)])
+
+    def test_output_dir_that_cannot_be_created(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_particle_csv_bytes_identical(self, tmp_path):
         paths = []
@@ -398,9 +429,41 @@ class TestEvaluationCounts:
         assert len(rows) == 2 and all(r["evaluations"] == "" for r in rows)
 
 
+@pytest.fixture(scope="module")
+def hifi_run_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("hifi_run")
+    assert main(["run", "--config", str(write_config(tmp / "c.json"))]) == 0
+    return tmp / "out"
+
+
+def _unknown_key(text):
+    meta, first, *rest = text.splitlines()
+    return "\n".join([meta, json.dumps(dict(json.loads(first), bogus=1)), *rest]) + "\n"
+
+
 class TestAnalyze:
     def test_missing_run_dir(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("name, damage", [
+        ("runlog.jsonl", None),
+        ("runlog.jsonl", lambda text: text[:len(text) // 2]),
+        ("runlog.jsonl", lambda text: ""),
+        ("runlog.jsonl", _unknown_key),
+        ("particles.csv", None),
+        ("particles.csv", lambda text: ""),
+    ], ids=["runlog-missing", "runlog-truncated", "runlog-empty", "runlog-unknown-key",
+            "particles-missing", "particles-empty"])
+    def test_damaged_run_dir_exits_2(self, hifi_run_dir, tmp_path, capsys, name, damage):
+        out = tmp_path / "out"
+        shutil.copytree(hifi_run_dir, out)
+        if damage is None:
+            (out / name).unlink()
+        else:
+            (out / name).write_text(damage((out / name).read_text()))
+        assert main(["analyze", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cannot read" in err and name in err
 
     def test_analyze_outputs(self, tmp_path):
         cfg = write_config(

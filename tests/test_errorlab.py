@@ -48,10 +48,9 @@ class TestTrueErrors:
         rep = true_errors(p, rm, theta)
         ev = rm.evaluate(p, theta)
         op = hifi.Factorization(p, theta)
-        u_h = op.solve(op.f)
-        psi_h = op.solve(hifi.adjoint_rhs(p, u_h), transpose=True)
-        e_u = u_h - rm.reconstruct(ev.u_r, "state")
-        e_psi = psi_h - rm.reconstruct(ev.psi_r, "adjoint")
+        h = hifi.evaluate(p, theta, op)
+        e_u = h.u - rm.reconstruct(ev.u_r, "state")
+        e_psi = h.psi - rm.reconstruct(ev.psi_r, "adjoint")
         obs_e = p.observe(e_u)
         rhs = -float(e_psi @ (op.A @ e_u)) - 0.5 * float(obs_e @ p.misfit_weighted(obs_e))
         assert rep.e_delta == pytest.approx(rhs, rel=1e-9, abs=1e-9 * rep.eta_h)
@@ -76,7 +75,7 @@ class TestResiduals:
     def test_zero_adjoint_residual_is_misfit_functional(self, uniform4_16, rb_uniform4_16):
         p, rm = uniform4_16, rb_uniform4_16
         theta = p.theta_ref
-        u_r_full = rm.reconstruct(rm.solve_state(p, theta), "state")
+        u_r_full = rm.reconstruct(rm.potential(p, theta)[2], "state")
         _, r_psi, _, _ = residual_vectors(p, rm, theta, u_r_full,
                                           np.zeros(p.n_dofs))
         misfit = p.obs_matrix @ p.misfit_weighted(p.y - p.observe(u_r_full))

@@ -58,9 +58,10 @@ class TestAdjoint:
         p = uniform4_8
         theta = np.array([0.4, -0.3, 0.2, 0.1])
         op = hifi.Factorization(p, theta)
-        u = op.solve(op.f)
-        psi = op.solve(hifi.adjoint_rhs(p, u), transpose=True)
-        psi_dense = np.linalg.solve(op.A.toarray().T, hifi.adjoint_rhs(p, u))
+        ev = hifi.evaluate(p, theta, op)
+        misfit = p.obs_matrix @ (p.noise_precision * (p.y - p.obs_matrix.T @ ev.u))
+        psi_dense = np.linalg.solve(op.A.toarray().T, misfit)
+        psi = ev.psi
         assert np.linalg.norm(psi - psi_dense) <= 1e-9 * np.linalg.norm(psi_dense)
 
     def test_linearity_in_noise_precision(self, uniform4_8):
@@ -121,9 +122,8 @@ class TestSensitivities:
         p = constant_problem
         theta = np.zeros(1)
         op = hifi.Factorization(p, theta)
-        u = op.solve(op.f)
-        psi = op.solve(hifi.adjoint_rhs(p, u), transpose=True)
-        du, dpsi = hifi.solve_sensitivities(p, theta, u, psi, op)
+        ev = hifi.evaluate(p, theta, op)
+        du, dpsi = hifi.solve_sensitivities(p, op, ev.u, ev.psi)
         assert np.allclose(du, 0.0)
         assert np.allclose(dpsi, 0.0)
 
@@ -131,9 +131,8 @@ class TestSensitivities:
         p = uniform4_8
         theta = np.array([0.5, -0.2, 0.3, 0.8])
         op = hifi.Factorization(p, theta)
-        u = op.solve(op.f)
-        psi = op.solve(hifi.adjoint_rhs(p, u), transpose=True)
-        du, _ = hifi.solve_sensitivities(p, theta, u, psi, op)
+        ev = hifi.evaluate(p, theta, op)
+        du, _ = hifi.solve_sensitivities(p, op, ev.u, ev.psi)
         step = 1e-5
         for j in range(4):
             e = np.zeros(4)
@@ -146,11 +145,10 @@ class TestSensitivities:
         rng = np.random.default_rng(6)
         theta = draw_coercive(p, rng, 1)[0]
         op = hifi.Factorization(p, theta)
-        u = op.solve(op.f)
-        psi = op.solve(hifi.adjoint_rhs(p, u), transpose=True)
-        grad = hifi.gradient_from_solutions(p, theta, u, psi)
-        du, _ = hifi.solve_sensitivities(p, theta, u, psi, op)
-        misfit = p.misfit_weighted(p.y - p.observe(u))
+        ev = hifi.evaluate(p, theta, op)
+        grad = ev.grad_eta
+        du, _ = hifi.solve_sensitivities(p, op, ev.u, ev.psi)
+        misfit = p.misfit_weighted(p.y - p.observe(ev.u))
         via_chain = np.array([-float(misfit @ p.observe(du[j])) for j in range(4)])
         assert np.abs(grad - via_chain).max() <= 1e-8 * np.abs(grad).max()
 
@@ -173,9 +171,8 @@ class TestFactorizationReuse:
         solves = _count_calls(monkeypatch, hifi.Factorization, "solve")
         theta = uniform4_8.theta_ref
         op = hifi.Factorization(uniform4_8, theta)
-        u = op.solve(op.f)
-        psi = op.solve(hifi.adjoint_rhs(uniform4_8, u), transpose=True)
-        hifi.solve_sensitivities(uniform4_8, theta, u, psi, op)
+        ev = hifi.evaluate(uniform4_8, theta, op)
+        hifi.solve_sensitivities(uniform4_8, op, ev.u, ev.psi)
         assert factorizations["n"] == 1
         assert solves["n"] == 2 + 2 * uniform4_8.dim
 

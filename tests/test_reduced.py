@@ -52,7 +52,7 @@ class TestEnrich:
         p, rm = uniform4_16, rb_uniform4_16
         for theta in rm.provenance:
             u_h = hifi.solve_state(p, theta)
-            u_r = rm.reconstruct(rm.solve_state(p, theta), "state")
+            u_r = rm.reconstruct(rm.potential(p, theta)[2], "state")
             assert p.v_norm(u_h - u_r) < 1e-9 * p.v_norm(u_h)
 
     def test_block_consistency_against_projection(self, gaussian9_9):
@@ -110,25 +110,24 @@ class TestReducedSolves:
         p, rm = tiny_problem, tiny_full_rb
         rng = np.random.default_rng(3)
         for theta in draw_coercive(p, rng, 3):
-            u_h = hifi.solve_state(p, theta)
-            u_r = rm.reconstruct(rm.solve_state(p, theta), "state")
-            assert p.v_norm(u_h - u_r) <= 1e-9 * max(p.v_norm(u_h), 1e-12)
-            psi_h = hifi.evaluate(p, theta).psi
+            h = hifi.evaluate(p, theta)
             ev = rm.evaluate(p, theta)
+            u_r = rm.reconstruct(ev.u_r, "state")
+            assert p.v_norm(h.u - u_r) <= 1e-9 * max(p.v_norm(h.u), 1e-12)
             psi_r = rm.reconstruct(ev.psi_r, "adjoint")
-            assert p.v_norm(psi_h - psi_r) <= 1e-8 * max(p.v_norm(psi_h), 1e-12)
+            assert p.v_norm(h.psi - psi_r) <= 1e-8 * max(p.v_norm(h.psi), 1e-12)
 
     def test_empty_basis_raises(self, uniform4_8):
         rm = ReducedModel.empty(uniform4_8)
-        with pytest.raises(RBSolveFailed):
-            rm.solve_state(uniform4_8, uniform4_8.theta_ref)
+        with pytest.raises(RBSolveFailed, match="state: reduced basis is empty"):
+            rm.potential(uniform4_8, uniform4_8.theta_ref)
 
     def test_theta_independent_exactness(self, constant_problem):
         p = constant_problem
         ev = hifi.evaluate(p, np.zeros(1))
         rm = ReducedModel.empty(p)
         rm.enrich(p, ev.u, ev.psi, np.zeros(1))
-        u_r = rm.reconstruct(rm.solve_state(p, np.array([0.7])), "state")
+        u_r = rm.reconstruct(rm.potential(p, np.array([0.7]))[2], "state")
         assert p.v_norm(ev.u - u_r) < 1e-10 * p.v_norm(ev.u)
 
     def test_adjoint_zero_for_exact_data(self, uniform4_8):
@@ -141,8 +140,7 @@ class TestReducedSolves:
         ev = hifi.evaluate(exact, theta)
         rm = ReducedModel.empty(exact)
         rm.enrich(exact, ev.u, ev.psi + 1.0, theta)  # nonzero adjoint basis
-        u_r = rm.solve_state(exact, theta)
-        psi_r = rm.solve_adjoint(exact, theta, u_r)
+        _, _, _, psi_r = rm.potential(exact, theta)
         # reconstruction roundoff is amplified by the noise precision, so the
         # reduced adjoint vanishes only to that scale
         assert np.abs(rm.reconstruct(psi_r, "adjoint")).max() < 1e-8
@@ -171,7 +169,7 @@ class TestDWR:
     def test_zero_adjoint_gives_zero(self, uniform4_16, rb_uniform4_16):
         p, rm = uniform4_16, rb_uniform4_16
         theta = p.theta_ref
-        u_r = rm.solve_state(p, theta)
+        u_r = rm.potential(p, theta)[2]
         assert rm.dwr(p, theta, u_r, np.zeros(rm.n_adjoint)) == 0.0
 
 
@@ -212,8 +210,7 @@ class TestIncrementals:
     def test_zero_at_snapshot(self, uniform4_16, rb_uniform4_16):
         p, rm = uniform4_16, rb_uniform4_16
         theta = rm.provenance[3]
-        _, _, u_r, psi_r = rm.potential(p, theta)
-        psi_hat, _ = rm.incrementals(p, theta, u_r, psi_r)
+        psi_hat = rm.evaluate(p, theta).psi_hat
         assert p.v_norm(rm.reconstruct(psi_hat, "adjoint")) < 1e-9
 
     def test_dense_oracle_full_basis(self, tiny_problem, tiny_full_rb):
@@ -246,10 +243,11 @@ class TestIncrementals:
         ev = hifi.evaluate(p, theta)
         rm = ReducedModel.empty(p)
         rm.enrich(p, ev.u, ev.psi, theta)
-        u_r = rm.solve_state(p, theta)
-        exact = dataclasses.replace(p, y=rm.Ou.T @ u_r)
-        _, u_hat = rm.incrementals(exact, theta, u_r, np.zeros(rm.n_adjoint))
-        assert np.allclose(u_hat, 0.0, atol=1e-12)
+        u_r = rm.potential(p, theta)[2]
+        # data the reduced state observes exactly: zero misfit, so a zero reduced adjoint
+        ev_r = rm.evaluate(dataclasses.replace(p, y=u_r @ rm.Ou), theta)
+        assert np.array_equal(ev_r.psi_r, np.zeros(rm.n_adjoint))
+        assert np.allclose(ev_r.u_hat, 0.0, atol=1e-12)
 
 
 class TestGradients:
@@ -309,7 +307,7 @@ class TestInvariantsAndPersistence:
         p, rm = uniform4_16, rb_uniform4_16
         rng = np.random.default_rng(8)
         for theta in draw_coercive(p, rng, 3):
-            u_r = rm.reconstruct(rm.solve_state(p, theta), "state")
+            u_r = rm.reconstruct(rm.potential(p, theta)[2], "state")
             A, f = p.operator(theta)
             residual = rm.basis_u.T @ (A @ u_r - f)
             assert np.abs(residual).max() < 1e-9 * max(1.0, np.abs(f).max())
@@ -319,12 +317,10 @@ class TestInvariantsAndPersistence:
         rng = np.random.default_rng(9)
         for theta in draw_coercive(p, rng, 3):
             ev = rm.evaluate(p, theta)
-            op = hifi.Factorization(p, theta)
-            u_h = op.solve(op.f)
-            psi_h = op.solve(hifi.adjoint_rhs(p, u_h), transpose=True)
-            eta_h = hifi.potential_of_state(p, u_h)
-            e_u = u_h - rm.reconstruct(ev.u_r, "state")
-            e_psi = psi_h - rm.reconstruct(ev.psi_r, "adjoint")
+            h = hifi.evaluate(p, theta)
+            eta_h = h.eta
+            e_u = h.u - rm.reconstruct(ev.u_r, "state")
+            e_psi = h.psi - rm.reconstruct(ev.psi_r, "adjoint")
             A, _ = p.operator(theta)
             obs_e = p.observe(e_u)
             rhs = -float(e_psi @ (A @ e_u)) - 0.5 * float(obs_e @ p.misfit_weighted(obs_e))
