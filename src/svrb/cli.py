@@ -166,11 +166,10 @@ def _read_final_particles(path):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     final_l = max(int(r["l"]) for r in rows)
-    thetas = [
-        [float(v) for k, v in r.items() if k.startswith("theta_")]
-        for r in rows if int(r["l"]) == final_l
-    ]
-    return np.array(thetas), final_l
+    keys = [k for k in rows[0] if k.startswith("theta_")]
+    if not keys:
+        raise ValueError("no theta_* columns")
+    return np.array([[float(r[k]) for k in keys] for r in rows if int(r["l"]) == final_l]), final_l
 
 
 def _write_scatter(rundir, particles, final_l):
@@ -241,24 +240,17 @@ def _apply_overrides(cfg, args):
         cfg.case["name"] = args.case
     if args.mesh is not None:
         cfg.case["n"] = args.mesh
-    for name in ("particles", "max_steps", "seed", "output_dir"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
     if getattr(args, "backend", None):
         cfg.backend.kind = args.backend
-    for name in ("tol", "eps0", "update_every", "rule"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg.backend, name, value)
-    for name in ("save_rb", "load_rb"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
+    for target, names in ((cfg, ("particles", "max_steps", "seed", "output_dir",
+                                 "save_rb", "load_rb", "svgd_tol")),
+                          (cfg.backend, ("tol", "eps0", "update_every", "rule"))):
+        for name in names:
+            value = getattr(args, name, None)
+            if value is not None:
+                setattr(target, name, value)
     if getattr(args, "dump_matrices", False):
         cfg.dump_matrices = True
-    if getattr(args, "svgd_tol", None) is not None:
-        cfg.svgd_tol = args.svgd_tol
     return cfg
 
 

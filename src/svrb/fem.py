@@ -333,6 +333,11 @@ class AffineParametricProblem:
         # like the operator, the Gram matrix is factorized as its transpose (spd_lu)
         if not np.array_equal(self.gram.data[mirror], self.gram.data):
             raise ConfigurationError("the Gram matrix is not symmetric")
+        # the blocks stacked as one (J_A N, N) matrix whose values are A_data itself
+        n_terms, nnz = self.A_data.shape
+        ptr = np.append((np.arange(n_terms)[:, None] * nnz + indptr[:-1]).ravel(), n_terms * nnz)
+        self._blocks = sp.csr_matrix((self.A_data.reshape(-1), np.tile(indices, n_terms), ptr),
+                                     shape=(n_terms * self.gram.shape[0], self.gram.shape[1]))
 
     # -- sizes ---------------------------------------------------------
 
@@ -438,6 +443,12 @@ class AffineParametricProblem:
         """Sparse matrix with the values ``values`` ``(nnz,)`` on the structure
         every stiffness block shares; ``stiffness(A_data[j])`` is block ``A_j``."""
         return sp.csr_matrix((values, self.gram.indices, self.gram.indptr), shape=self.gram.shape)
+
+    def block_products(self, x):
+        """``A_j x`` for every stiffness block j at once, ``(J_A,) + x.shape``,
+        for a vector ``x`` ``(N,)`` or the columns of ``x`` ``(N, k)``; each
+        product sums in the order the block's own matrix would."""
+        return (self._blocks @ x).reshape((self.n_diffusion_terms,) + x.shape)
 
     def operator(self, theta, coeffs=None):
         """Assembled operator and load at a coercive ``theta``: ``(A(theta), f(theta))``."""

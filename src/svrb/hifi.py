@@ -8,7 +8,9 @@ orders its matrix; the residual check after every solve is the safety
 net.  The affine coefficients are evaluated once per factorization
 and shared by the coercivity guard, the assembly, the gradient and the
 sensitivities.  :func:`evaluate` is the one state-then-adjoint pass
-(potential, adjoint, gradient); :func:`solve_sensitivities` reuses its
+(potential, adjoint); its gradient is formed from the block products
+``A_j u`` on first read, so the greedy snapshots, which need only the two
+fields, never pay for it.  :func:`solve_sensitivities` reuses its
 factorization, and :func:`solve_state` and :func:`potential` need only the
 state.  One misfit helper forms the observation residual for both passes.
 The operator is symmetric (problem assembly rejects a non-symmetric block);
@@ -17,6 +19,7 @@ keeps each adjoint equation written as the transpose it is.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,13 +57,23 @@ class Factorization:
 
 @dataclass
 class HiFiEvaluation:
-    """State, adjoint, potential, and gradient at one parameter."""
+    """State, adjoint, potential, and gradient at one parameter.  Gradient
+    component ``j``, formed on first read, is ``psi^T (d_j A) u - psi^T (d_j f)``
+    expanded through the gradients of the affine coefficients ``coeffs``."""
 
     theta: np.ndarray
     u: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
-    eta: float = 0.0
-    grad_eta: np.ndarray = None
+    eta: float
+    problem: object = field(repr=False)
+    coeffs: tuple = field(repr=False)
+
+    @cached_property
+    def grad_eta(self):
+        _, _, dcA, dcF = self.coeffs
+        a_terms = np.array([self.psi @ Aj_u for Aj_u in self.problem.block_products(self.u)])
+        f_terms = np.array([self.psi @ vec for vec in self.problem.f_data])
+        return dcA.T @ a_terms - dcF.T @ f_terms
 
 
 def solve_state(problem, theta):
@@ -86,20 +99,16 @@ def potential(problem, theta):
 def evaluate(problem, theta, op=None):
     """Full evaluation (state, adjoint, potential, gradient) at ``theta``.
 
-    The adjoint's right-hand side is the misfit functional.  Gradient
-    component ``j`` is ``psi^T (d_j A) u - psi^T (d_j f)`` expanded through
-    the affine coefficient gradients.  Pass ``op`` to reuse a factorization
-    at the same ``theta``, e.g. for :func:`solve_sensitivities` afterwards.
+    The adjoint's right-hand side is the misfit functional.  Pass ``op`` to
+    reuse a factorization at the same ``theta``, e.g. for
+    :func:`solve_sensitivities` afterwards.
     """
     op = op or Factorization(problem, theta)
     u = op.solve(op.f)
     eta, weighted = _misfit(problem, u)
     psi = op.solve(problem.obs_matrix @ weighted, transpose=True)
-    _, _, dcA, dcF = op.coeffs
-    a_terms = np.array([psi @ (problem.stiffness(data) @ u) for data in problem.A_data])
-    f_terms = np.array([psi @ vec for vec in problem.f_data])
     return HiFiEvaluation(theta=np.asarray(theta, dtype=float), u=u, psi=psi, eta=eta,
-                          grad_eta=dcA.T @ a_terms - dcF.T @ f_terms)
+                          problem=problem, coeffs=op.coeffs)
 
 
 def solve_sensitivities(problem, op, u, psi):

@@ -11,9 +11,12 @@ work independent of the high-fidelity dimension.
 One online pass over a stack of parameters (the particles) assembles the
 reduced operators once and yields the reduced states, their weighted
 observation misfits, the reduced adjoints, the plain potentials and the
-dual-weighted residuals, with one stacked dense solve per system.
-:meth:`ReducedModel.potential` and the greedy indicator read it as it is;
-:meth:`ReducedModel.evaluate` adds the two incremental solves and both
+dual-weighted residuals.  Each reduced operator is the Galerkin projection
+of a coercive operator, so it is symmetric positive definite: the pass
+factors the state and the adjoint operator of every row once, by Cholesky
+in place, and every solve with that operator reuses the factor.
+:meth:`ReducedModel.potential` and the greedy indicator read the pass as it
+is; :meth:`ReducedModel.evaluate` adds the two incremental solves and both
 gradients.  A single parameter is a stack of one.
 
 Conventions: reduced matrices follow the Galerkin layout ``B[m, n] =
@@ -27,15 +30,19 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 class RBSolveFailed(RuntimeError):
-    """The reduced dense system is singular or empty."""
+    """A reduced operator is not positive definite, or its basis is empty."""
 
 
 # version of the problem fingerprint stored in ``rb.npz``; 2: basis rows follow
 # the fill-reducing dof numbering of problem assembly
 ARTIFACT_SCHEMA = 2
+
+# the bases and reduced blocks, in constructor and ``rb.npz`` order
+_ARRAYS = ("basis_u", "basis_psi", "Au", "Ap", "Aup", "fu", "fp", "Ou", "Op")
 
 # a snapshot whose remainder after orthogonalization has at most this
 # fraction of its norm is already in the span and is not appended
@@ -56,7 +63,8 @@ class _Online(NamedTuple):
     each has a leading particle axis."""
 
     coeffs: tuple         # (cA, cF, dcA, dcF) from ``eval_coefficients``
-    ops: tuple            # (Au, Ap, fu, fp) assembled at every parameter
+    solve: tuple          # solvers with the state and the adjoint operator (_factor)
+    fp: np.ndarray        # (M, N_p) reduced load tested with the adjoint basis
     u_r: np.ndarray       # (M, N_u)
     psi_r: np.ndarray     # (M, N_p)
     misfit: np.ndarray    # (M, s) noise-weighted observation residual of the reduced state
@@ -114,18 +122,9 @@ class ReducedModel:
     def empty(cls, problem):
         """Model with zero-size bases, ready for enrichment."""
         n, ja, jf, s = problem.n_dofs, problem.n_diffusion_terms, problem.n_load_terms, problem.n_obs
-        rm = cls(
-            basis_u=np.zeros((n, 0)),
-            basis_psi=np.zeros((n, 0)),
-            Au=np.zeros((ja, 0, 0)),
-            Ap=np.zeros((ja, 0, 0)),
-            Aup=np.zeros((ja, 0, 0)),
-            fu=np.zeros((jf, 0)),
-            fp=np.zeros((jf, 0)),
-            Ou=np.zeros((0, s)),
-            Op=np.zeros((0, s)),
-            provenance=[],
-        )
+        shapes = dict(basis_u=(n, 0), basis_psi=(n, 0), Au=(ja, 0, 0), Ap=(ja, 0, 0),
+                      Aup=(ja, 0, 0), fu=(jf, 0), fp=(jf, 0), Ou=(0, s), Op=(0, s))
+        rm = cls(**{name: np.zeros(shape) for name, shape in shapes.items()}, provenance=[])
         rm.fingerprint = problem_fingerprint(problem)
         return rm
 
@@ -190,7 +189,7 @@ class ReducedModel:
         old, other = (self.basis_u, self.basis_psi) if state else (self.basis_psi, self.basis_u)
         k = old.shape[1]
         # (N_h, J_A) and C-contiguous: a transposed layout rounds the products below differently
-        Av = np.column_stack([problem.stiffness(data) @ v for data in problem.A_data])
+        Av = np.ascontiguousarray(problem.block_products(v).T)
         own = np.zeros((Av.shape[1], k + 1, k + 1))
         own[:, :k, :k] = self.Au if state else self.Ap
         own[:, :k, k] = own[:, k, :k] = (old.T @ Av).T
@@ -213,9 +212,9 @@ class ReducedModel:
     #
     # Every public method below takes one parameter ``(d,)`` or a stack
     # ``(M, d)`` and returns per-row results with the same leading shape.
-    # Reduced operators are built for the whole stack at once and each
-    # system is solved in one stacked call; the cross block is only ever
-    # applied term by term, so no ``(M, N_p, N_u)`` array is formed.
+    # Reduced operators are built for the whole stack at once and factored
+    # once per pass; the cross block is only ever applied term by term, so
+    # no ``(M, N_p, N_u)`` array is formed.
 
     def _online_operators(self, cA, cF):
         """Reduced state and adjoint operators and loads, the affine sums
@@ -236,14 +235,28 @@ class ReducedModel:
         return np.einsum("mk,mjk->mj", left, np.tensordot(right, blocks, axes=([1], [2])))
 
     @staticmethod
-    def _dense_solve(A, b, what):
-        """Solve ``A[m] x[m] = b[m]`` for every row in one stacked call."""
+    def _factor(A, what):
+        """Cholesky-factor every row of the symmetric positive definite stack
+        ``A`` ``(M, N, N)`` in place: row m read in Fortran order is its own
+        transpose, which LAPACK overwrites.  Returns the solver ``b -> x``
+        with ``A[m] x[m] = b[m]`` for every row, each row solved in place."""
         if A.shape[-1] == 0:
             raise RBSolveFailed(f"{what}: reduced basis is empty")
-        try:
-            return np.linalg.solve(A, b[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise RBSolveFailed(f"{what}: singular reduced system ({exc})") from exc
+        rows = np.swapaxes(np.ascontiguousarray(A), 1, 2)  # Fortran-ordered views
+        # arguments by position (lower=0, clean=0, overwrite=1): at small N,
+        # parsing keywords costs a third of each call
+        for m, row in enumerate(rows):
+            info = lapack.dpotrf(row, 0, 0, 1)[1]
+            if info:
+                raise RBSolveFailed(f"{what}: reduced operator of row {m} is not positive "
+                                    f"definite (LAPACK dpotrf info {info})")
+
+        def solve(b):
+            x = np.array(b, dtype=float)
+            for row, xm in zip(rows, x):
+                lapack.dpotrs(row, xm, 0, 1)
+            return x
+        return solve
 
     def dwr(self, problem, theta, u_r, psi_r, coeffs=None):
         """Dual-weighted residual: state residual tested with the adjoint."""
@@ -260,15 +273,15 @@ class ReducedModel:
         reduced adjoint, plain potential and dual-weighted residual, behind
         :meth:`potential`, :meth:`evaluate` and the greedy indicator.
         """
-        ops = self._online_operators(coeffs[0], coeffs[1])
-        Au, Ap, fu, _ = ops
-        u_r = self._dense_solve(Au, fu, "state")
+        Au, Ap, fu, fp = self._online_operators(coeffs[0], coeffs[1])
+        solve = self._factor(Au, "state"), self._factor(Ap, "adjoint")
+        u_r = solve[0](fu)
         residual = problem.y - u_r @ self.Ou
         misfit = problem.misfit_weighted(residual)
-        psi_r = self._dense_solve(np.swapaxes(Ap, 1, 2), misfit @ self.Op.T, "adjoint")
+        psi_r = solve[1](misfit @ self.Op.T)  # A_p is its own transpose
         eta_r = 0.5 * np.einsum("ms,ms->m", residual, misfit)
         delta = self.dwr(problem, thetas, u_r, psi_r, coeffs)
-        return _Online(coeffs, ops, u_r, psi_r, misfit, eta_r, delta)
+        return _Online(coeffs, solve, fp, u_r, psi_r, misfit, eta_r, delta)
 
     def potential(self, problem, theta, coeffs=None):
         """Plain and corrected reduced potentials.
@@ -293,16 +306,15 @@ class ReducedModel:
         thetas, single = _stack(theta)
         on = self._solve_online(problem, thetas, coeffs or problem.eval_coefficients(thetas))
         u_r, psi_r = on.u_r, on.psi_r
-        Au, Ap, _, fp = on.ops
+        solve_u, solve_p = on.solve
         cA, _, dcA, dcF = on.coeffs
-        psi_hat = self._dense_solve(Ap, fp - self._apply(cA, self.Aup, u_r),
-                                    "incremental adjoint")
+        psi_hat = solve_p(on.fp - self._apply(cA, self.Aup, u_r))
         rhs = (
             -self._apply(cA, self.Aup, psi_r, transpose=True)
             + on.misfit @ self.Ou.T
             - problem.misfit_weighted(psi_hat @ self.Op) @ self.Ou.T
         )
-        u_hat = self._dense_solve(np.swapaxes(Au, 1, 2), rhs, "incremental state")
+        u_hat = solve_u(rhs)  # A_u is its own transpose
 
         def chain(dc, terms):  # sum over terms of coefficient gradient times term
             return np.einsum("mjd,mj->md", dc, terms)
@@ -334,36 +346,21 @@ class ReducedModel:
 
     def verify_blocks(self, problem):
         """Largest deviation of any stored block from a direct projection."""
-        err = 0.0
-        for j, blk in enumerate(map(problem.stiffness, problem.A_data)):
-            err = max(err, np.abs(self.Au[j] - self.basis_u.T @ (blk @ self.basis_u)).max(initial=0.0))
-            err = max(err, np.abs(self.Ap[j] - self.basis_psi.T @ (blk @ self.basis_psi)).max(initial=0.0))
-            err = max(err, np.abs(self.Aup[j] - self.basis_psi.T @ (blk @ self.basis_u)).max(initial=0.0))
-        for k, vec in enumerate(problem.f_data):
-            err = max(err, np.abs(self.fu[k] - self.basis_u.T @ vec).max(initial=0.0))
-            err = max(err, np.abs(self.fp[k] - self.basis_psi.T @ vec).max(initial=0.0))
-        err = max(err, np.abs(self.Ou - (problem.obs_matrix.T @ self.basis_u).T).max(initial=0.0))
-        err = max(err, np.abs(self.Op - (problem.obs_matrix.T @ self.basis_psi).T).max(initial=0.0))
-        return err
+        U, P = self.basis_u, self.basis_psi
+        AU = problem.block_products(U)
+        pairs = ((self.Au, U.T @ AU), (self.Ap, P.T @ problem.block_products(P)),
+                 (self.Aup, P.T @ AU), (self.fu, problem.f_data @ U), (self.fp, problem.f_data @ P),
+                 (self.Ou, (problem.obs_matrix.T @ U).T), (self.Op, (problem.obs_matrix.T @ P).T))
+        return max(np.abs(stored - direct).max(initial=0.0) for stored, direct in pairs)
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
         """Write bases, blocks, and provenance to a ``.npz`` artifact."""
-        meta = {"problem": self.fingerprint}
         np.savez(
-            path,
-            basis_u=self.basis_u,
-            basis_psi=self.basis_psi,
-            Au=self.Au,
-            Ap=self.Ap,
-            Aup=self.Aup,
-            fu=self.fu,
-            fp=self.fp,
-            Ou=self.Ou,
-            Op=self.Op,
+            path, **{name: getattr(self, name) for name in _ARRAYS},
             provenance=np.array(self.provenance) if self.provenance else np.zeros((0, 0)),
-            meta=json.dumps(meta),
+            meta=json.dumps({"problem": self.fingerprint}),
         )
 
     @classmethod
@@ -372,17 +369,6 @@ class ReducedModel:
         data = np.load(path, allow_pickle=False)
         meta = json.loads(str(data["meta"]))
         prov = [row.copy() for row in data["provenance"]] if data["provenance"].size else []
-        rm = cls(
-            basis_u=data["basis_u"],
-            basis_psi=data["basis_psi"],
-            Au=data["Au"],
-            Ap=data["Ap"],
-            Aup=data["Aup"],
-            fu=data["fu"],
-            fp=data["fp"],
-            Ou=data["Ou"],
-            Op=data["Op"],
-            provenance=prov,
-        )
+        rm = cls(**{name: data[name] for name in _ARRAYS}, provenance=prov)
         rm.fingerprint = meta.get("problem")
         return rm

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from svrb import hifi
 from svrb.adaptive import (
     AdaptiveConfig,
     build_fixed_rb,
@@ -62,6 +63,17 @@ class TestGreedySweep:
         assert 0 in result.skipped
         assert result.max_indicator <= 1e-6 or "stagnation" in result.flags
         assert all(not np.array_equal(t, bad) for t in rm.provenance)
+
+    def test_snapshots_form_no_gradient(self, uniform4_16, monkeypatch):
+        # the seed snapshot and the sweep's snapshots use u and psi only
+        def no_gradient(ev):
+            raise AssertionError("a snapshot formed the high-fidelity gradient")
+
+        monkeypatch.setattr(hifi.HiFiEvaluation, "grad_eta", property(no_gradient))
+        p = uniform4_16
+        rm = initialize(p, p.theta_ref)
+        result = greedy_sweep(rm, p, draw_coercive(p, np.random.default_rng(3), 8), tol=1e-6)
+        assert result.n_enriched > 1
 
     def test_basis_cap_flagged(self, uniform4_16):
         p = uniform4_16

@@ -8,6 +8,7 @@ from svrb.adaptive import greedy_sweep, initialize
 from svrb.backends import RBBackend
 from svrb.cases import AffineTerm, UniformBox, UnsupportedCoefficient, assemble_problem, custom_case
 from svrb.fem import CoercivityLost
+from svrb.reduced import RBSolveFailed, ReducedModel
 from svrb.verify import build_small_rb, draw_coercive
 
 from test_hifi import _count_calls
@@ -85,6 +86,67 @@ class TestStackMatchesRows:
         ev = rm.evaluate(p, thetas[0])
         assert np.ndim(ev.eta_delta) == 0 and ev.grad_eta_delta.shape == (p.dim,)
         assert np.ndim(rm.dwr(p, thetas[0], u_r, psi_r)) == 0
+
+
+def dense_reference(rm, p, theta):
+    """Every online quantity at one parameter from the assembled reduced
+    matrices and ``np.linalg.solve``, written out from the definitions."""
+    cA, cF, dcA, dcF = p.eval_coefficients(theta)
+    Au, Ap, Aup = (np.tensordot(cA, blocks, axes=1) for blocks in (rm.Au, rm.Ap, rm.Aup))
+    fu, fp = cF @ rm.fu, cF @ rm.fp
+    u = np.linalg.solve(Au, fu)
+    weighted = p.misfit_weighted(p.y - u @ rm.Ou)
+    psi = np.linalg.solve(Ap.T, weighted @ rm.Op.T)
+    delta = psi @ (Aup @ u) - psi @ fp
+    psi_hat = np.linalg.solve(Ap, fp - Aup @ u)
+    rhs = -Aup.T @ psi + weighted @ rm.Ou.T - p.misfit_weighted(psi_hat @ rm.Op) @ rm.Ou.T
+    u_hat = np.linalg.solve(Au.T, rhs)
+    grad_r = (dcA.T @ np.array([psi @ blk @ u for blk in rm.Aup])
+              - dcF.T @ np.array([psi @ f for f in rm.fp]))
+    corr = np.array([u_hat @ bu @ u + psi @ bp @ psi_hat for bu, bp in zip(rm.Au, rm.Ap)])
+    grad_delta = grad_r + dcA.T @ corr - dcF.T @ np.array([u_hat @ f for f in rm.fu])
+    eta_r = 0.5 * float((p.y - u @ rm.Ou) @ weighted)
+    return dict(eta_r=eta_r, delta=delta, eta_delta=eta_r + delta,
+                grad_eta_r=grad_r, grad_eta_delta=grad_delta)
+
+
+class TestCholeskyPath:
+    """The online pass factors each reduced operator once by Cholesky and
+    reuses the factor; it agrees with a per-particle dense LU reference."""
+
+    def test_reduced_operators_are_spd(self, case):
+        p, rm, thetas = case
+        for blocks in (rm.Au, rm.Ap):
+            assert np.array_equal(blocks, np.swapaxes(blocks, 1, 2))
+        for ops in rm._online_operators(*p.eval_coefficients(thetas)[:2])[:2]:
+            assert np.linalg.eigvalsh(ops).min() > 0
+
+    def test_matches_dense_reference(self, case):
+        p, rm, thetas = case
+        ev = rm.evaluate(p, thetas)
+        eta_r, eta_delta, _, _ = rm.potential(p, thetas)
+        refs = [dense_reference(rm, p, theta) for theta in thetas]
+        ref = {k: np.array([r[k] for r in refs]) for k in refs[0]}
+        for got in (ev.eta_r, eta_r):
+            assert np.all(np.abs(got - ref["eta_r"]) <= RTOL * np.abs(ref["eta_r"]))
+        for got in (ev.eta_delta, eta_delta):
+            assert np.all(np.abs(got - ref["eta_delta"]) <= RTOL * np.abs(ref["eta_delta"]))
+        assert np.all(np.abs(ev.delta - ref["delta"]) <= RTOL * np.abs(ref["eta_r"]))
+        for name in ("grad_eta_r", "grad_eta_delta"):
+            err = np.linalg.norm(getattr(ev, name) - ref[name], axis=1)
+            assert np.all(err <= RTOL * np.linalg.norm(ref[name], axis=1))
+
+    @pytest.mark.parametrize("which", ["state", "adjoint"])
+    def test_operator_not_positive_definite_raises(self, case, which):
+        p, rm, thetas = case
+        blocks = dict(Au=rm.Au, Ap=rm.Ap)
+        key = "Au" if which == "state" else "Ap"
+        blocks[key] = -blocks[key]  # symmetric negative definite at every parameter
+        bad = ReducedModel(rm.basis_u, rm.basis_psi, blocks["Au"], blocks["Ap"], rm.Aup,
+                           rm.fu, rm.fp, rm.Ou, rm.Op, rm.provenance)
+        for call in (bad.potential, bad.evaluate):
+            with pytest.raises(RBSolveFailed, match=f"{which}: .*not positive definite"):
+                call(p, thetas)
 
 
 def reference_sweep(rm, problem, particles, tol, max_basis=500, stagnation_drop=0.1):

@@ -441,6 +441,16 @@ def _unknown_key(text):
     return "\n".join([meta, json.dumps(dict(json.loads(first), bogus=1)), *rest]) + "\n"
 
 
+def _drop_theta(text):
+    rows = list(csv.DictReader(io.StringIO(text)))
+    keep = [k for k in rows[0] if not k.startswith("theta_")]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=keep, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 class TestAnalyze:
     def test_missing_run_dir(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope")]) == 2
@@ -452,8 +462,9 @@ class TestAnalyze:
         ("runlog.jsonl", _unknown_key),
         ("particles.csv", None),
         ("particles.csv", lambda text: ""),
+        ("particles.csv", _drop_theta),
     ], ids=["runlog-missing", "runlog-truncated", "runlog-empty", "runlog-unknown-key",
-            "particles-missing", "particles-empty"])
+            "particles-missing", "particles-empty", "particles-no-theta"])
     def test_damaged_run_dir_exits_2(self, hifi_run_dir, tmp_path, capsys, name, damage):
         out = tmp_path / "out"
         shutil.copytree(hifi_run_dir, out)
