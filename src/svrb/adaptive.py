@@ -7,7 +7,6 @@ sampler's own convergence indicator, so the surrogate gets more accurate
 exactly where (and when) the particles concentrate.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -26,18 +25,23 @@ STAGNATION_DROP = 0.1
 @dataclass
 class AdaptiveConfig:
     eps0: float = 0.1
-    update_every: int = 10          # sweep period in sampler iterations; inf/None = never
+    update_every: int | None = 10   # sweep period in sampler iterations; None = never
     rule: str = "normalized"        # eps0 * t_l / t_0, or "absolute": eps0 * t_l
     eps_min: float = 1e-12
     max_basis: int = 500
 
     def __post_init__(self):
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
-        if self.update_every is not None and self.update_every != math.inf and self.update_every < 1:
-            raise ValueError("update period must be >= 1")
-        if self.rule not in ("normalized", "absolute"):
-            raise ValueError(f"unknown tolerance rule {self.rule!r}")
+        period = self.update_every
+        for ok, message in (
+            (self.eps0 > 0, "eps0 must be positive"),
+            (period is None or period >= 1 and float(period).is_integer(),
+             "update_every must be None or an integer >= 1"),
+            (self.rule in ("normalized", "absolute"), f"unknown tolerance rule {self.rule!r}"),
+            (self.eps_min >= 0, "eps_min must be >= 0"),
+            (self.max_basis >= 1, "max_basis must be >= 1"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
 
 @dataclass
@@ -69,7 +73,7 @@ def tolerance_update(cfg, t_l, t_0, previous=None):
     return value
 
 
-def greedy_sweep(rm, problem, particles, tol, max_basis=500):
+def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis):
     """Enrich at worst-indicator particles until all are within ``tol``.
 
     Each pass scores every particle not yet excluded in one online pass.
@@ -116,69 +120,52 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=500):
     return result
 
 
-def run_svrb(problem, svgd_config, adaptive_config, alpha_schedule=None, log_meta=None):
+def run_svrb(problem, svgd_config, adaptive_config, alpha_schedule=None):
     """Sampler run with interleaved greedy surrogate refreshes.
 
-    Draws the particles, seeds the reduced model at the first one, runs the
-    initial greedy sweep on the prior ensemble, then hands an enrichment
-    hook to the sampler: every ``update_every`` iterations the tolerance is
-    refreshed from the latest stopping indicator and a sweep re-certifies
-    the surrogate on the current particles.  Returns
-    ``(ensemble, model, runlog)``; ``runlog.meta["rb_offline_seconds"]``
-    is the time spent seeding the model and in greedy sweeps.
+    Draws the particles, seeds the reduced model at the first one and runs
+    the initial greedy sweep on the prior ensemble at ``eps0``; record 0
+    carries that sweep.  Then, every ``update_every`` iterations (never when
+    it is ``None``), the tolerance is refreshed from the latest stopping
+    indicator and a sweep re-certifies the surrogate on the current
+    particles; that iteration's record carries it.  Returns
+    ``(ensemble, model, runlog)``; ``runlog.meta["rb_offline_seconds"]`` is
+    the time spent seeding the model and in greedy sweeps.
     """
+    acfg = adaptive_config
     particles0 = draw_prior(problem.prior, svgd_config.n_particles, svgd_config.seed)
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     rm = initialize(problem, particles0[0])
-    sweep0 = greedy_sweep(rm, problem, particles0, adaptive_config.eps0,
-                          adaptive_config.max_basis)
-    offline = {"seconds": time.perf_counter() - t0}
-    backend = RBBackend(problem, rm, adaptive=True)
-
-    state = {"tol": adaptive_config.eps0, "t0": None}
-    period = adaptive_config.update_every
-    if period in (None, math.inf):
-        period = None
-
-    initial_sweep = {"eps_r": adaptive_config.eps0, "n_enriched": 1 + sweep0.n_enriched,
-                     "certified_max_indicator": sweep0.max_indicator,
-                     "flags": list(sweep0.flags)}
+    sweep = greedy_sweep(rm, problem, particles0, acfg.eps0, acfg.max_basis)
+    offline_seconds = time.perf_counter() - start
+    tol = acfg.eps0
 
     def hook(l, ensemble, latest_t, log):
-        if state["t0"] is None and log.records:
-            state["t0"] = log.records[0].t  # indicator of the first iteration
-        extra = {"eps_r": state["tol"], "n_state": rm.n_state, "n_adjoint": rm.n_adjoint}
+        nonlocal sweep, tol, offline_seconds
         if l == 0:
-            extra.update(initial_sweep)
-            return extra
-        if period is None or l % period != 0:
-            return extra
-        if latest_t is not None:
-            t_ref = state["t0"] if state["t0"] is not None else latest_t
-            state["tol"] = tolerance_update(adaptive_config, latest_t, t_ref,
-                                            previous=state["tol"])
-        t_start = time.perf_counter()
-        sweep = greedy_sweep(rm, problem, ensemble.particles, state["tol"],
-                             adaptive_config.max_basis)
-        offline["seconds"] += time.perf_counter() - t_start
-        extra.update(
-            eps_r=state["tol"], n_state=rm.n_state, n_adjoint=rm.n_adjoint,
-            n_enriched=sweep.n_enriched,
-            certified_max_indicator=sweep.max_indicator,
-            flags=list(sweep.flags),
-        )
-        return extra
+            n_enriched = 1 + sweep.n_enriched  # the seed snapshot and the initial sweep
+        elif acfg.update_every is None or l % acfg.update_every != 0:
+            return {"eps_r": tol, "n_state": rm.n_state, "n_adjoint": rm.n_adjoint}
+        else:
+            # the normalized rule divides by the indicator of the first iteration
+            tol = tolerance_update(acfg, latest_t, log.records[0].t, previous=tol)
+            start = time.perf_counter()
+            sweep = greedy_sweep(rm, problem, ensemble.particles, tol, acfg.max_basis)
+            offline_seconds += time.perf_counter() - start
+            n_enriched = sweep.n_enriched
+        return {"eps_r": tol, "n_state": rm.n_state, "n_adjoint": rm.n_adjoint,
+                "n_enriched": n_enriched, "certified_max_indicator": sweep.max_indicator,
+                "flags": sweep.flags}
 
     ensemble, log = svgd_run(
-        backend, problem.prior, svgd_config, hook=hook,
+        RBBackend(problem, rm, adaptive=True), problem.prior, svgd_config, hook=hook,
         initial_particles=particles0, alpha_schedule=alpha_schedule,
-        log_meta={"rb_offline_seconds": 0.0, **(log_meta or {})},
     )
-    log.meta["rb_offline_seconds"] = offline["seconds"]
+    log.meta["rb_offline_seconds"] = offline_seconds
     return ensemble, rm, log
 
 
-def build_fixed_rb(problem, svgd_config, tol, max_basis=500):
+def build_fixed_rb(problem, svgd_config, tol, max_basis=AdaptiveConfig.max_basis):
     """Greedy reduced model built once on prior samples, then frozen."""
     particles0 = draw_prior(problem.prior, svgd_config.n_particles, svgd_config.seed)
     rm = initialize(problem, particles0[0])

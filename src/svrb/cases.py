@@ -12,7 +12,7 @@ a fixed fraction of the largest observed value there, and the observations
 are the reference outputs plus one draw of that noise (seeded).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -144,6 +144,16 @@ class CaseConfig:
     coercivity_floor: float = 1e-8
 
 
+def _override(cfg, overrides):
+    """``cfg`` with ``overrides`` set; a key that is no field is a configuration error."""
+    unknown = sorted(set(overrides) - {f.name for f in fields(CaseConfig)})
+    if unknown:
+        raise ConfigurationError(f"unknown case settings: {unknown}")
+    for k, v in overrides.items():
+        setattr(cfg, k, v)
+    return cfg
+
+
 def uniform4_case(n, **overrides):
     """Four cosine modes over a constant background diffusivity of 5."""
     d = 4
@@ -163,9 +173,7 @@ def uniform4_case(n, **overrides):
         quad_rule="gauss3",
         theta_ref=np.ones(d),
     )
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return _override(cfg, overrides)
 
 
 def _cell_indicator(bx, by):
@@ -207,9 +215,7 @@ def gaussian9_case(n, **overrides):
         quad_rule="centroid",
         theta_ref=np.ones(d),
     )
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return _override(cfg, overrides)
 
 
 def custom_case(n, diffusion, load, prior, dim, **overrides):
@@ -235,9 +241,7 @@ def custom_case(n, diffusion, load, prior, dim, **overrides):
         theta_ref=overrides.pop("theta_ref", np.zeros(dim)),
     )
     cfg._dim = dim
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return _override(cfg, overrides)
 
 
 def _case_dim(case):

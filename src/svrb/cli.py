@@ -20,28 +20,11 @@ from .config import ConfigError, ExperimentConfig, _validate
 from .fem import CoercivityLost, ConfigurationError, SolveFailed
 from .reduced import RBSolveFailed, ReducedModel, problem_fingerprint
 from .runlog import RunLog
-from .svgd import NumericalAbort, SVGDConfig, svgd_run
+from .svgd import NumericalAbort, svgd_run
 
 # only these mean "the numerics gave out"; any other error is a bug and surfaces
 _NUMERICAL = (NumericalAbort, CoercivityLost, SolveFailed, RBSolveFailed)
 _CONFIG = (ConfigError, ConfigurationError, UnsupportedCoefficient)
-
-
-def _svgd_config(cfg):
-    return SVGDConfig(
-        n_particles=cfg.particles,
-        max_steps=cfg.max_steps,
-        tol=cfg.svgd_tol,
-        alpha_init=cfg.alpha_init,
-        max_backtracks=cfg.max_backtracks,
-        seed=cfg.seed,
-    )
-
-
-def _adaptive_config(cfg):
-    b = cfg.backend
-    return adaptive.AdaptiveConfig(eps0=b.eps0, update_every=b.update_every, rule=b.rule,
-                                   eps_min=b.eps_min, max_basis=b.max_basis)
 
 
 def _load_rb(path, problem):
@@ -95,7 +78,7 @@ def cmd_run(cfg):
     if cfg.dump_matrices:
         _dump_matrices(problem, outdir)
 
-    scfg = _svgd_config(cfg)
+    scfg = cfg.svgd_config()
     meta = {
         "config": cfg.to_dict(),
         "dofs_raw": problem.n_dofs_raw,
@@ -107,7 +90,7 @@ def cmd_run(cfg):
     rm = None
     if cfg.backend.kind == "hifi":
         backend = HiFiBackend(problem)
-        ensemble, log = svgd_run(backend, problem.prior, scfg, log_meta=meta)
+        ensemble, log = svgd_run(backend, problem.prior, scfg)
     elif cfg.backend.kind == "rb-fixed":
         if cfg.load_rb:
             rm = _load_rb(cfg.load_rb, problem)
@@ -115,10 +98,9 @@ def cmd_run(cfg):
             rm, _ = adaptive.build_fixed_rb(problem, scfg, cfg.backend.tol,
                                             cfg.backend.max_basis)
         backend = RBBackend(problem, rm)
-        ensemble, log = svgd_run(backend, problem.prior, scfg, log_meta=meta)
+        ensemble, log = svgd_run(backend, problem.prior, scfg)
     else:
-        ensemble, rm, log = adaptive.run_svrb(problem, scfg, _adaptive_config(cfg),
-                                              log_meta=meta)
+        ensemble, rm, log = adaptive.run_svrb(problem, scfg, cfg.adaptive_config())
 
     log.meta.update(meta)
     log.write_jsonl(os.path.join(outdir, "runlog.jsonl"))
@@ -189,7 +171,7 @@ def cmd_bench(cfg):
     """Matched high-fidelity and reduced pipelines with a timing table."""
     problem = assemble_problem(cfg.build_case())
     outdir = _make_output_dir(cfg.output_dir)
-    scfg = _svgd_config(cfg)
+    scfg = cfg.svgd_config()
 
     # warm-up factorization, excluded from all timings
     hifi.Factorization(problem, problem.theta_ref)
@@ -200,27 +182,30 @@ def cmd_bench(cfg):
     hifi_eval = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _, rm, log = adaptive.run_svrb(problem, scfg, _adaptive_config(cfg))
+    _, rm, log = adaptive.run_svrb(problem, scfg, cfg.adaptive_config())
     rb_total = time.perf_counter() - t0
     rb_build = log.meta["rb_offline_seconds"]
     rb_eval = rb_total - rb_build
 
     ratio = speedup_ratio(hifi_eval, rb_build, rb_eval)
+    hifi_solves, rb_solves = hifi_backend.n_evaluations, len(rm.provenance)
     rows = [
         {"pipeline": "hifi", "dofs": problem.n_dofs_raw, "n_rb": "",
-         "build_seconds": 0.0, "eval_seconds": hifi_eval, "speedup": 1.0},
+         "build_seconds": 0.0, "eval_seconds": hifi_eval, "hifi_solves": hifi_solves,
+         "speedup": 1.0, "solve_ratio": 1.0},
         {"pipeline": "rb-adaptive", "dofs": problem.n_dofs_raw, "n_rb": rm.n_state,
-         "build_seconds": rb_build, "eval_seconds": rb_eval, "speedup": ratio},
+         "build_seconds": rb_build, "eval_seconds": rb_eval, "hifi_solves": rb_solves,
+         "speedup": ratio, "solve_ratio": hifi_solves / rb_solves},
     ]
     path = os.path.join(outdir, "bench.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    print(f"{'pipeline':<14}{'DOF':>8}{'N_r':>6}{'build [s]':>12}{'eval [s]':>12}{'speedup':>10}")
+    print("".join(f"{key:>14}" for key in rows[0]))
     for r in rows:
-        print(f"{r['pipeline']:<14}{r['dofs']:>8}{str(r['n_rb']):>6}"
-              f"{r['build_seconds']:>12.2f}{r['eval_seconds']:>12.2f}{r['speedup']:>10.1f}")
+        print("".join(f"{v:>14.2f}" if isinstance(v, float) else f"{v!s:>14}"
+                      for v in r.values()))
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The dataclasses are the schema: their fields are the accepted keys and
 their annotations the accepted types; ``_CASE_TYPES`` is the same for the
-``case`` object.
+``case`` object.  The sampler and greedy settings take their defaults and
+range checks from :class:`SVGDConfig` and :class:`AdaptiveConfig`.
 """
 
 import copy
@@ -12,7 +13,9 @@ import types
 import typing
 from dataclasses import asdict, dataclass, field, fields
 
+from .adaptive import AdaptiveConfig
 from .cases import CaseConfig, gaussian9_case, uniform4_case
+from .svgd import SVGDConfig
 
 SCHEMA_VERSION = 1
 
@@ -31,22 +34,22 @@ _CASE_TYPES = {"name": str, "n": int, "obs_grid": int, "noise_scale": float,
 class BackendConfig:
     kind: str = "hifi"              # hifi | rb-fixed | rb-adaptive
     tol: float = 1e-5               # greedy tolerance for rb-fixed
-    eps0: float = 0.1               # initial tolerance for rb-adaptive
-    update_every: int | None = 10   # None: never sweep
-    rule: str = "normalized"
-    eps_min: float = 1e-12
-    max_basis: int = 500
+    eps0: float = AdaptiveConfig.eps0  # initial tolerance for rb-adaptive
+    update_every: int | None = AdaptiveConfig.update_every
+    rule: str = AdaptiveConfig.rule
+    eps_min: float = AdaptiveConfig.eps_min
+    max_basis: int = AdaptiveConfig.max_basis
 
 
 @dataclass
 class ExperimentConfig:
     case: dict = field(default_factory=lambda: {"name": "uniform4", "n": 16})
-    particles: int = 64
-    max_steps: int = 100
-    svgd_tol: float = 1e-3
-    alpha_init: float = 1.0
-    max_backtracks: int = 20
-    seed: int = 0
+    particles: int = SVGDConfig.n_particles
+    max_steps: int = SVGDConfig.max_steps
+    svgd_tol: float = SVGDConfig.tol
+    alpha_init: float = SVGDConfig.alpha_init
+    max_backtracks: int = SVGDConfig.max_backtracks
+    seed: int = SVGDConfig.seed
     backend: BackendConfig = field(default_factory=BackendConfig)
     output_dir: str = "runs/out"
     dump_matrices: bool = False
@@ -80,6 +83,16 @@ class ExperimentConfig:
 
     def to_dict(self):
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
+
+    def svgd_config(self):
+        return SVGDConfig(n_particles=self.particles, max_steps=self.max_steps,
+                          tol=self.svgd_tol, alpha_init=self.alpha_init,
+                          max_backtracks=self.max_backtracks, seed=self.seed)
+
+    def adaptive_config(self):
+        b = self.backend
+        return AdaptiveConfig(eps0=b.eps0, update_every=b.update_every, rule=b.rule,
+                              eps_min=b.eps_min, max_basis=b.max_basis)
 
     def build_case(self):
         case = dict(self.case)
@@ -154,21 +167,15 @@ def _validate(cfg):
     _check(vars(cfg), _TOP_TYPES, "config")
     _check(vars(cfg.backend), _BACKEND_TYPES, "backend")
     _check(cfg.case, _CASE_TYPES, "case")
+    try:
+        cfg.svgd_config()
+        cfg.adaptive_config()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     b, case = cfg.backend, cfg.case
     for ok, message in (
-        (cfg.particles >= 1, "particles must be >= 1"),
-        (cfg.max_steps >= 0, "max_steps must be >= 0"),
-        (cfg.svgd_tol >= 0, "svgd_tol must be >= 0"),
-        (cfg.alpha_init > 0, "alpha_init must be positive"),
-        (cfg.max_backtracks >= 1, "max_backtracks must be >= 1"),
-        (cfg.seed >= 0, "seed must be >= 0"),
         (b.kind in ("hifi", "rb-fixed", "rb-adaptive"), f"unknown backend kind {b.kind!r}"),
         (b.tol >= 0, "backend tol must be >= 0"),
-        (b.eps0 > 0, "eps0 must be positive"),
-        (b.update_every is None or b.update_every >= 1, "update_every must be >= 1"),
-        (b.rule in ("normalized", "absolute"), f"unknown tolerance rule {b.rule!r}"),
-        (b.eps_min >= 0, "eps_min must be >= 0"),
-        (b.max_basis >= 1, "max_basis must be >= 1"),
         (case.get("n", 1) >= 1, "case n must be >= 1"),
         (case.get("obs_grid", 1) >= 1, "case obs_grid must be >= 1"),
         (case.get("noise_seed", 0) >= 0, "case noise_seed must be >= 0"),

@@ -36,6 +36,18 @@ class SVGDConfig:
     max_backtracks: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        for ok, message in (
+            (self.n_particles >= 1, "n_particles must be >= 1"),
+            (self.max_steps >= 0, "max_steps must be >= 0"),
+            (self.tol >= 0, "tol must be >= 0"),
+            (self.alpha_init > 0, "alpha_init must be positive"),
+            (self.max_backtracks >= 1, "max_backtracks must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(message)
+
 
 @dataclass
 class ParticleEnsemble:
@@ -172,15 +184,17 @@ def draw_prior(prior, m, seed):
 
 
 def svgd_run(backend, prior, config, hook=None, initial_particles=None,
-             alpha_schedule=None, log_meta=None):
+             alpha_schedule=None):
     """Run the sampler; returns ``(ensemble, runlog)``.
 
-    ``hook(l, ensemble, latest_t, runlog)`` is invoked at the start of every
-    iteration (used by the adaptive driver to refresh its surrogate).  When
+    ``hook(l, ensemble, latest_t, runlog)`` runs at the start of every
+    iteration (``latest_t`` is the last stopping indicator, ``None`` at
+    ``l = 0``); the fields it returns go into that iteration's record.  When
     ``alpha_schedule`` is given, the line search is skipped, the recorded
     step sizes are replayed, and exactly ``len(alpha_schedule)`` iterations
     run -- this pins matched trajectories for discrepancy studies.
-    Each record and the log's meta carry ``evaluations``, the growth of
+    Each record and the log's meta (``backend``, ``seed``; callers add their
+    keys after the run) carry ``evaluations``, the growth of
     ``backend.n_evaluations`` over the iteration and over the run.  Each
     record's ``timers`` holds the growth of every ``backend.timers`` entry
     over the iteration and ``svgd_overhead``, the rest of its wall time.
@@ -192,8 +206,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
             raise ValueError("a flat prior cannot be sampled; pass initial_particles")
         particles = draw_prior(prior, config.n_particles, config.seed)
     ensemble = ParticleEnsemble(particles=particles, seed=config.seed)
-    log = RunLog(meta={"backend": backend.descriptor, "seed": config.seed,
-                       **(log_meta or {})})
+    log = RunLog(meta={"backend": backend.descriptor, "seed": config.seed})
 
     replay = alpha_schedule is not None
     max_steps = len(alpha_schedule) if replay else config.max_steps

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -112,6 +113,14 @@ class TestToleranceUpdate:
         with pytest.raises(ValueError):
             AdaptiveConfig(eps0=1.0, rule="bogus")
 
+    @pytest.mark.parametrize("bad", [
+        {"eps_min": -1.0}, {"max_basis": 0}, {"update_every": 0},
+        {"update_every": math.inf},
+    ], ids=["eps_min", "max_basis", "update_every-0", "update_every-inf"])
+    def test_out_of_range_settings_raise(self, bad):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(**bad)
+
 
 class TestRunSVRB:
     def test_fixed_rb_baseline_equivalence(self):
@@ -162,3 +171,33 @@ class TestRunSVRB:
         scfg = SVGDConfig(n_particles=4, max_steps=1, tol=1e-12, seed=1, alpha_init=0.05)
         _, _, log = run_svrb(uniform4_8, scfg, AdaptiveConfig(eps0=0.1, update_every=None))
         assert log.meta["rb_offline_seconds"] >= delay
+
+    def test_records_carry_each_sweep_once(self, uniform4_8, monkeypatch):
+        import svrb.adaptive
+
+        sweeps = []
+
+        def recording_sweep(*args, **kwargs):
+            sweeps.append(greedy_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(svrb.adaptive, "greedy_sweep", recording_sweep)
+        scfg = SVGDConfig(n_particles=8, max_steps=7, tol=1e-12, seed=1, alpha_init=0.05)
+        acfg = AdaptiveConfig(eps0=0.01, update_every=3)
+        _, rm, log = run_svrb(uniform4_8, scfg, acfg)
+        records = log.records
+        assert [r.l for r in records] == list(range(7))
+        assert len(sweeps) == 3  # the prior draw, then iterations 3 and 6
+        first = records[0]
+        assert first.eps_r == acfg.eps0
+        assert first.n_enriched == 1 + sweeps[0].n_enriched  # with the seed snapshot
+        assert first.certified_max_indicator == sweeps[0].max_indicator
+        for r, sweep in zip((records[3], records[6]), sweeps[1:]):
+            assert r.n_enriched == sweep.n_enriched
+            assert r.certified_max_indicator == sweep.max_indicator
+            assert r.flags == sweep.flags
+        assert first.eps_r >= records[3].eps_r >= records[6].eps_r
+        for r in records:
+            if r.l not in (0, 3, 6):
+                assert (r.n_enriched, r.certified_max_indicator, r.flags) == (0, None, [])
+        assert sum(r.n_enriched for r in records) == len(rm.provenance)

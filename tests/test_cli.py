@@ -229,6 +229,22 @@ class TestRun:
                 assert r["certified_max_indicator"] <= r["eps_r"] * (1 + 1e-12)
         assert (tmp_path / "out" / "rb.npz").is_file()
 
+    @pytest.mark.parametrize("backend", [{"kind": "hifi"},
+                                         {"kind": "rb-adaptive", "eps0": 0.1, "update_every": 2}],
+                             ids=lambda b: b["kind"])
+    def test_runlog_meta(self, tmp_path, backend):
+        cfg = write_config(tmp_path / "c.json", backend=backend)
+        assert main(["run", "--config", str(cfg)]) == 0
+        with open(tmp_path / "out" / "runlog.jsonl") as fh:
+            meta = json.loads(fh.readline())["meta"]
+        keys = {"backend", "seed", "config", "dofs", "dofs_raw", "sigma", "noise_seed",
+                "evaluations"}
+        if backend["kind"] == "rb-adaptive":
+            keys.add("rb_offline_seconds")
+        assert set(meta) == keys
+        assert meta["config"] == ExperimentConfig.from_json(cfg).to_dict()
+        assert meta["backend"] == backend["kind"]
+
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "flagout"
         code = main([
@@ -554,7 +570,7 @@ class TestBench:
         t = 7.3
         assert speedup_ratio(t, 0.0, t) == 1.0
 
-    def test_bench_command_runs(self, tmp_path):
+    def test_bench_command_runs(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",
             particles=4,
@@ -566,6 +582,14 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert [r["pipeline"] for r in rows] == ["hifi", "rb-adaptive"]
         assert float(rows[0]["speedup"]) == 1.0
+        hifi_solves, rb_solves = (int(r["hifi_solves"]) for r in rows)
+        # a hifi iteration factorizes at every particle, then for the line search
+        assert hifi_solves >= 2 * 4
+        assert 1 <= int(rows[1]["n_rb"]) <= rb_solves  # one snapshot each, some may deflate
+        assert float(rows[0]["solve_ratio"]) == 1.0
+        assert float(rows[1]["solve_ratio"]) == hifi_solves / rb_solves
+        header = capsys.readouterr().out.splitlines()[0].split()
+        assert header == list(rows[0])  # the printed table has the csv's columns
 
     def test_run_and_bench_map_the_config_alike(self, tmp_path, monkeypatch):
         import svrb.adaptive

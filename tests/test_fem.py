@@ -413,3 +413,16 @@ class TestDataRule:
         p1 = assemble_problem(uniform4_case(8))
         p2 = assemble_problem(uniform4_case(8))
         assert np.array_equal(p1.y, p2.y)
+
+
+class TestCaseBuilders:
+    @pytest.mark.parametrize("build", [
+        lambda **kw: uniform4_case(8, **kw),
+        lambda **kw: gaussian9_case(9, **kw),
+        lambda **kw: custom_case(6, diffusion=[1.0], load=[1.0],
+                                 prior=UniformBox([-1.0], [1.0]), dim=1, **kw),
+    ], ids=["uniform4", "gaussian9", "custom"])
+    def test_misspelled_override_is_rejected(self, build):
+        assert build(noise_scale=0.5).noise_scale == 0.5
+        with pytest.raises(ConfigurationError, match="nosie_scale"):
+            build(nosie_scale=0.5)

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from svrb import cli
 from svrb.backends import HiFiBackend
 from svrb.cases import assemble_problem, uniform4_case
+from svrb.reduced import ReducedModel
 from svrb.svgd import SVGDConfig, svgd_run
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -82,3 +83,10 @@ def test_rb_run_fires_every_predicted_span(tmp_path, workload):
         tracer.close()
     fired = {r[tracing.NAME] for r in tracer.spans}
     assert not set(predicted) - fired
+    if workload == "chains-u4":
+        # the benchmark checks the model of the one sampler-building span against rb.npz
+        built = [r for r in tracer.spans
+                 if r[tracing.NAME] in ("adaptive.run_svrb", "adaptive.build_fixed_rb")]
+        assert len(built) == 1
+        stored = ReducedModel.load(tmp_path / "out" / "rb.npz")
+        assert built[0][tracing.EXTRA]["n_state"] == stored.n_state

@@ -315,6 +315,16 @@ class TestEarlyRejection:
         assert n_honoured < n_ignored
 
 
+class TestConfig:
+    @pytest.mark.parametrize("bad", [
+        {"n_particles": 0}, {"max_steps": -1}, {"tol": -1.0}, {"alpha_init": 0.0},
+        {"max_backtracks": 0}, {"seed": -1},
+    ], ids=lambda bad: next(iter(bad)))
+    def test_out_of_range_settings_raise(self, bad):
+        with pytest.raises(ValueError):
+            SVGDConfig(**bad)
+
+
 class TestRun:
     def test_infinite_tolerance_returns_prior(self):
         prior = StandardGaussian(2)
