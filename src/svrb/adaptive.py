@@ -104,8 +104,8 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis
         pick = int(np.argmax(vals))  # argmax; ties resolve to the lowest index
         theta = particles[pick]
         key = theta.tobytes()
-        seen = any(np.array_equal(theta, p) for p in rm.provenance)
-        if seen and key in last_selected and vals[pick] > (1 - STAGNATION_DROP) * last_selected[key]:
+        if (key in last_selected and vals[pick] > (1 - STAGNATION_DROP) * last_selected[key]
+                and any(np.array_equal(theta, p) for p in rm.provenance)):
             result.flags.append("stagnation")
             break
         last_selected[key] = vals[pick]

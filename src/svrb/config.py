@@ -14,7 +14,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 
 from .adaptive import AdaptiveConfig
-from .cases import CaseConfig, gaussian9_case, uniform4_case
+from .cases import CaseConfig, _override, gaussian9_case, uniform4_case
 from .svgd import SVGDConfig
 
 SCHEMA_VERSION = 1
@@ -95,21 +95,22 @@ class ExperimentConfig:
                               eps_min=b.eps_min, max_basis=b.max_basis)
 
     def build_case(self):
+        """The case the ``case`` keys name; every other key overrides its
+        setting, for a custom module's case as for a built-in one."""
         case = dict(self.case)
         name = case.pop("name", "uniform4")
+        module = case.pop("module", None)
+        if name == "custom":
+            return _override(_load_custom_case(module), case)
         n = case.pop("n", 16)
-        case.pop("module", None)
         if name == "uniform4":
             return uniform4_case(n, **case)
         if name == "gaussian9":
             return gaussian9_case(n, **case)
-        if name == "custom":
-            return _load_custom_case(dict(self.case))
         raise ConfigError(f"unknown case name {name!r}")
 
 
-def _load_custom_case(case):
-    path = case.get("module")
+def _load_custom_case(path):
     if not path:
         raise ConfigError("custom case requires a 'module' path exposing build_case()")
     import importlib.util

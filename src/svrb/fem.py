@@ -32,10 +32,11 @@ class CoercivityLost(RuntimeError):
         self.theta = np.asarray(theta, dtype=float)
         self.min_value = float(min_value)
         self.floor = float(floor)
-        super().__init__(
-            f"diffusion field min {min_value:.3e} <= floor {floor:.1e} "
-            f"at theta={np.array2string(self.theta, precision=4)}"
-        )
+        super().__init__(self.theta, self.min_value, self.floor)
+
+    def __str__(self):  # formatted when read: line-search trials swallow most of these
+        return (f"diffusion field min {self.min_value:.3e} <= floor {self.floor:.1e} "
+                f"at theta={np.array2string(self.theta, precision=4)}")
 
 
 class SolveFailed(RuntimeError):
@@ -406,21 +407,27 @@ class AffineParametricProblem:
         conservative O(J) bound of :meth:`conservative_field_min`, evaluated
         for the whole stack at once, keeps the typical cost mesh-independent;
         only rows where that bound is inconclusive get the exact
-        per-quadrature-point check of :meth:`field_range`, again in one pass.
-        Both read the one coefficient evaluation ``coeffs``.
+        per-quadrature-point minimum (that of :meth:`field_range`), in order
+        and in blocks of 1, 2, 4, ... rows, so a bad row early in the stack
+        stops the check before the rest is formed.  Both read the one
+        coefficient evaluation ``coeffs``.
         """
         thetas = np.atleast_2d(theta)
         coeffs = coeffs or self.eval_coefficients(theta)
         if np.ndim(theta) == 1:  # a single parameter is a stack of one
             coeffs = tuple(c[None] for c in coeffs)
-        unsure = self.conservative_field_min(thetas, coeffs) <= self.coercivity_floor
-        if not unsure.any():
-            return
-        lo = self.field_range(thetas[unsure], tuple(c[unsure] for c in coeffs))[0]
-        bad = ~np.isfinite(lo) | (lo <= self.coercivity_floor)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise CoercivityLost(thetas[unsure][i], lo[i], self.coercivity_floor)
+        cA = coeffs[0]
+        unsure = np.flatnonzero(self.conservative_field_min(thetas, coeffs) <= self.coercivity_floor)
+        start, size = 0, 1
+        while start < len(unsure):
+            rows = unsure[start:start + size]
+            with np.errstate(invalid="ignore"):  # inf coefficients on zero fields
+                lo = (self.coeff_at_quad @ cA[rows].T).min(axis=0)
+            bad = ~np.isfinite(lo) | (lo <= self.coercivity_floor)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise CoercivityLost(thetas[rows[i]], lo[i], self.coercivity_floor)
+            start, size = start + size, 2 * size
 
     def conservative_field_min(self, theta, coeffs=None):
         """Rigorous lower bound on the field minimum, online cost O(J).

@@ -19,6 +19,15 @@ in place, and every solve with that operator reuses the factor.
 is; :meth:`ReducedModel.evaluate` adds the two incremental solves and both
 gradients.  A single parameter is a stack of one.
 
+The model holds its last pass, read-only, and hands it out again when the
+same problem object asks for a bitwise-equal stack; every basis growth
+drops it.  The sampler asks for the same stack several times in a row: the
+line search's reference merit at the particles the iteration has just
+evaluated, the next evaluation at the accepted trial's particles (when
+clamping left them unchanged), and the first evaluation after a greedy
+sweep at the particles of its last indicator pass.  Each of these costs no
+new pass.
+
 Conventions: reduced matrices follow the Galerkin layout ``B[m, n] =
 A(basis_n, basis_m)``; the cross block maps state coefficients to adjoint
 test functions, ``C[m, n] = A(state_n, adjoint_m)``.
@@ -115,6 +124,7 @@ class ReducedModel:
         self.provenance = provenance
         self.deflated = []          # (which, theta) for skipped snapshots
         self.fingerprint = None     # problem_fingerprint of the problem it was built for
+        self._held = None           # (problem, stack key, _Online) of the last online pass
 
     # -- construction ----------------------------------------------------
 
@@ -185,6 +195,7 @@ class ReducedModel:
         the new column with one matrix product, and the cross block with
         another.
         """
+        self._held = None  # a pass on the old bases is stale
         state = which == "state"
         old, other = (self.basis_u, self.basis_psi) if state else (self.basis_psi, self.basis_u)
         k = old.shape[1]
@@ -272,7 +283,15 @@ class ReducedModel:
         coefficients ``coeffs``: operators, reduced state, weighted misfit,
         reduced adjoint, plain potential and dual-weighted residual, behind
         :meth:`potential`, :meth:`evaluate` and the greedy indicator.
+
+        The pass is held: asked again by the same ``problem`` object for a
+        stack with the same bytes, it is returned as it is.  Its arrays,
+        ``coeffs`` included, are read-only.
         """
+        key = (thetas.dtype.str, thetas.shape, thetas.tobytes())
+        if self._held is not None and self._held[0] is problem and self._held[1] == key:
+            return self._held[2]
+        self._held = None  # freed before the new pass is built
         Au, Ap, fu, fp = self._online_operators(coeffs[0], coeffs[1])
         solve = self._factor(Au, "state"), self._factor(Ap, "adjoint")
         u_r = solve[0](fu)
@@ -281,7 +300,11 @@ class ReducedModel:
         psi_r = solve[1](misfit @ self.Op.T)  # A_p is its own transpose
         eta_r = 0.5 * np.einsum("ms,ms->m", residual, misfit)
         delta = self.dwr(problem, thetas, u_r, psi_r, coeffs)
-        return _Online(coeffs, solve, fp, u_r, psi_r, misfit, eta_r, delta)
+        on = _Online(coeffs, solve, fp, u_r, psi_r, misfit, eta_r, delta)
+        for array in (*on.coeffs, fp, u_r, psi_r, misfit, eta_r, delta):
+            array.flags.writeable = False
+        self._held = (problem, key, on)
+        return on
 
     def potential(self, problem, theta, coeffs=None):
         """Plain and corrected reduced potentials.

@@ -398,6 +398,43 @@ class TestBadInputExits2:
         assert "cannot create output directory" in capsys.readouterr().err
 
 
+CUSTOM_MODULE = """from svrb.cases import UniformBox, custom_case
+
+
+def build_case():
+    return custom_case(6, diffusion=[1.0], load=[1.0], prior=UniformBox([-1.0], [1.0]), dim=1)
+"""
+
+
+class TestCustomCaseSettings:
+    """The ``case`` keys beside ``name`` and ``module`` override the custom
+    module's settings, as they do for a built-in case."""
+
+    def test_settings_apply(self, tmp_path):
+        module = tmp_path / "case.py"
+        module.write_text(CUSTOM_MODULE)
+        plain = ExperimentConfig.from_dict({"case": {"name": "custom", "module": str(module)}})
+        assert (plain.build_case().n, plain.build_case().obs_grid) == (6, 7)
+        cfg = write_config(tmp_path / "c.json", max_steps=1, case={
+            "name": "custom", "module": str(module), "n": 9, "noise_scale": 0.5, "obs_grid": 3})
+        case = ExperimentConfig.from_json(cfg).build_case()
+        assert (case.n, case.noise_scale, case.obs_grid) == (9, 0.5, 3)
+        assert main(["run", "--config", str(cfg)]) == 0
+        with open(tmp_path / "out" / "runlog.jsonl") as fh:
+            meta = json.loads(fh.readline())["meta"]
+        assert meta["dofs_raw"] == 10 * 10
+
+    def test_setting_the_case_cannot_take_exits_2(self, tmp_path, capsys):
+        module = tmp_path / "case.py"
+        module.write_text(CUSTOM_MODULE)
+        cfg = write_config(tmp_path / "c.json", case={
+            "name": "custom", "module": str(module), "theta_ref": [1.0, 2.0]})
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "theta_ref" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestDeterminism:
     def test_particle_csv_bytes_identical(self, tmp_path):
         paths = []

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -21,6 +22,19 @@ from svrb.fem import CoercivityLost, ConfigurationError
 
 from conftest import embed, manufactured_case
 from reference_assembly import reference_arrays
+
+
+@functools.lru_cache(maxsize=None)
+def guard_pools(p):
+    """Parameters in and around the uniform4 prior box, by what the coercivity
+    guard makes of them: ``S`` passes the O(J) bound, ``F`` fails the bound
+    but passes the exact check, ``B`` fails both; none is within 1e-6 of the floor."""
+    thetas = np.random.default_rng(3).uniform(-2.6, 2.6, size=(3000, 4))
+    sure = p.conservative_field_min(thetas) > p.coercivity_floor
+    lo = p.field_range(thetas)[0]
+    clear = np.abs(lo - p.coercivity_floor) > 1e-6
+    return {"S": thetas[sure], "F": thetas[~sure & clear & (lo > p.coercivity_floor)],
+            "B": thetas[clear & (lo <= p.coercivity_floor)]}
 
 
 class TestMesh:
@@ -242,6 +256,31 @@ class TestOperator:
             p.check_coercive(thetas)
         assert np.array_equal(err.value.theta, thetas[bad[0]])
         assert err.value.min_value == pytest.approx(lows[bad[0]], rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(head=st.lists(st.sampled_from("SF"), max_size=20),
+           tail=st.lists(st.sampled_from("SFB"), max_size=20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fast_check_matches_the_full_check(self, uniform4_8, head, tail, seed):
+        # the first unsure row is fine and a later one is bad, so the blocks
+        # of the fast check must pass the fine rows and stop at the bad one
+        p = uniform4_8
+        pools = guard_pools(p)
+        rng = np.random.default_rng(seed)
+        thetas = np.array([pools[k][rng.integers(len(pools[k]))]
+                           for k in ["F", *head, "B", *tail]])
+        unsure = np.flatnonzero(p.conservative_field_min(thetas) <= p.coercivity_floor)
+        lo = p.field_range(thetas[unsure])[0]  # every unsure row at once
+        first = np.flatnonzero(lo <= p.coercivity_floor)[0]
+        with pytest.raises(CoercivityLost) as err:
+            p.check_coercive(thetas)
+        assert np.array_equal(err.value.theta, thetas[unsure[first]])
+        assert err.value.floor == p.coercivity_floor
+        # the product's width changes its rounding in the last bits
+        assert err.value.min_value == pytest.approx(lo[first], rel=1e-12, abs=1e-12)
+        assert str(err.value) == (
+            f"diffusion field min {err.value.min_value:.3e} <= floor {p.coercivity_floor:.1e} "
+            f"at theta={np.array2string(thetas[unsure[first]], precision=4)}")
 
     def test_non_symmetric_block_rejected(self, uniform4_8):
         A_data = uniform4_8.A_data.copy()

@@ -1,0 +1,204 @@
+"""The reduced model hands out its last online pass again for the same
+problem and a bitwise-equal parameter stack, and that reuse changes no result."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from svrb import adaptive, hifi
+from svrb.adaptive import AdaptiveConfig, build_fixed_rb, run_svrb
+from svrb.backends import RBBackend
+from svrb.reduced import ReducedModel
+from svrb.svgd import SVGDConfig, svgd_run
+from svrb.verify import build_small_rb, draw_coercive
+
+_ARRAYS = ("basis_u", "basis_psi", "Au", "Ap", "Aup", "fu", "fp", "Ou", "Op")
+_EVALUATION = ("u_r", "psi_r", "u_hat", "psi_hat", "eta_r", "delta", "eta_delta",
+               "grad_eta_r", "grad_eta_delta")
+
+
+def fresh(rm, cls=ReducedModel):
+    """A model with the bases and blocks of ``rm`` and no pass held."""
+    return cls(**{name: getattr(rm, name) for name in _ARRAYS}, provenance=list(rm.provenance))
+
+
+def count_passes(rm):
+    """Count the online passes ``rm`` builds: each one computes ``dwr`` once."""
+    calls = []
+    dwr = rm.dwr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dwr(*args, **kwargs)
+
+    rm.dwr = counting
+    return calls
+
+
+def assert_same_evaluation(a, b):
+    for name in _EVALUATION:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.fixture(scope="module", params=["uniform4", "gaussian9"])
+def case(request, uniform4_8, gaussian9_9):
+    """A problem, a small reduced model on it and a coercive parameter stack."""
+    p = uniform4_8 if request.param == "uniform4" else gaussian9_9
+    rng = np.random.default_rng(5)
+    return p, build_small_rb(p, rng, 4), draw_coercive(p, rng, 6)
+
+
+class TestHeldPass:
+    def test_hit_is_bitwise_a_fresh_pass(self, case):
+        p, base, thetas = case
+        rm = fresh(base)
+        passes = count_passes(rm)
+        pot = rm.potential(p, thetas)
+        ev = rm.evaluate(p, thetas.copy())  # a new array with the same bytes
+        again = rm.potential(p, thetas.copy())
+        assert len(passes) == 1
+        assert_same_evaluation(ev, fresh(base).evaluate(p, thetas))
+        for got, ref in zip((*pot, *again), 2 * fresh(base).potential(p, thetas)):
+            assert np.array_equal(got, ref)
+
+    def test_other_stack_misses(self, case):
+        p, base, thetas = case
+        rm = fresh(base)
+        passes = count_passes(rm)
+        rm.potential(p, thetas)
+        moved = thetas.copy()
+        moved[2, 0] = np.nextafter(moved[2, 0], np.inf)
+        for stack in (thetas[::-1], thetas[:3], moved, thetas[0]):
+            assert_same_evaluation(rm.evaluate(p, stack), fresh(base).evaluate(p, stack))
+        assert len(passes) == 5
+
+    def test_enrich_drops_the_held_pass(self, case):
+        p, base, thetas = case
+        rm = fresh(base)
+        rm.potential(p, thetas)
+        theta = draw_coercive(p, np.random.default_rng(9), 1)[0]
+        ev = hifi.evaluate(p, theta)
+        assert rm.enrich(p, ev.u, ev.psi, theta) == (True, True)
+        passes = count_passes(rm)
+        after = rm.evaluate(p, thetas)
+        assert len(passes) == 1 and after.u_r.shape[1] == base.n_state + 1
+        assert_same_evaluation(after, fresh(rm).evaluate(p, thetas))
+
+    def test_other_problem_object_misses(self, case):
+        p, base, thetas = case
+        rm = fresh(base)
+        q = dataclasses.replace(p, y=p.y + 0.1)
+        on_p = rm.potential(p, thetas)
+        on_q = rm.potential(q, thetas)
+        assert not np.array_equal(on_p[0], on_q[0])
+        for got, ref in zip(on_q, fresh(base).potential(q, thetas)):
+            assert np.array_equal(got, ref)
+
+    def test_held_arrays_reject_writes(self, case):
+        p, base, thetas = case
+        rm = fresh(base)
+        coeffs = p.eval_coefficients(thetas)
+        on = rm._solve_online(p, thetas, coeffs)
+        held = [*on.coeffs] + [getattr(on, name) for name in on._fields
+                               if name not in ("coeffs", "solve")]
+        eta_r, _, u_r, psi_r = rm.potential(p, thetas)  # the corrected sum is a new array
+        held += [eta_r, u_r, psi_r]
+        ev = rm.evaluate(p, thetas)
+        held += [ev.u_r, ev.psi_r, ev.eta_r, ev.delta]
+        for array in held:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+
+class NoReuse(ReducedModel):
+    """Drops the held pass before every online pass, so every call is fresh."""
+
+    def _solve_online(self, problem, thetas, coeffs):
+        self._held = None
+        return super()._solve_online(problem, thetas, coeffs)
+
+
+def run_record(log):
+    return [{k: v for k, v in vars(r).items() if k not in ("timers", "timestamp")}
+            for r in log.records]
+
+
+class TestSamplerUnchanged:
+    """The sampler gives bitwise the same particles and records with the
+    reuse as with a model that never reuses a pass, and builds fewer passes."""
+
+    SVGD = SVGDConfig(n_particles=8, max_steps=7, tol=1e-12, seed=1, alpha_init=0.05)
+
+    @staticmethod
+    def _count_class_passes(monkeypatch):
+        calls = []
+        dwr = ReducedModel.dwr
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return dwr(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReducedModel, "dwr", counting)
+        return calls
+
+    def test_run_svrb(self, uniform4_8, monkeypatch):
+        acfg = AdaptiveConfig(eps0=0.01, update_every=3)
+        passes = self._count_class_passes(monkeypatch)
+        ens, rm, log = run_svrb(uniform4_8, self.SVGD, acfg)
+        reused = len(passes)
+        passes.clear()
+        monkeypatch.setattr(adaptive, "ReducedModel", NoReuse)
+        ens_ref, rm_ref, log_ref = run_svrb(uniform4_8, self.SVGD, acfg)
+        assert isinstance(rm_ref, NoReuse) and reused < len(passes)
+        assert np.array_equal(ens.particles, ens_ref.particles)
+        assert run_record(log) == run_record(log_ref)
+        assert log.meta["evaluations"] == log_ref.meta["evaluations"]
+        for name in _ARRAYS:
+            assert np.array_equal(getattr(rm, name), getattr(rm_ref, name))
+
+    def test_svgd_run_on_a_fixed_model(self, uniform4_8, monkeypatch):
+        rm, _ = build_fixed_rb(uniform4_8, self.SVGD, 1e-3)
+        passes = self._count_class_passes(monkeypatch)
+        ens, log = svgd_run(RBBackend(uniform4_8, fresh(rm)), uniform4_8.prior, self.SVGD)
+        reused = len(passes)
+        passes.clear()
+        ens_ref, log_ref = svgd_run(RBBackend(uniform4_8, fresh(rm, NoReuse)),
+                                    uniform4_8.prior, self.SVGD)
+        assert reused < len(passes)
+        assert np.array_equal(ens.particles, ens_ref.particles)
+        assert run_record(log) == run_record(log_ref)
+
+
+@pytest.fixture(scope="module")
+def interleaved(uniform4_8):
+    p = uniform4_8
+    rng = np.random.default_rng(17)
+    base = build_small_rb(p, rng, 3)
+    stack = draw_coercive(p, rng, 5)
+    moved = stack.copy()
+    moved[1] += 1e-3
+    stacks = [stack, stack.copy(), stack[::-1], stack[:2], stack[0], moved]
+    return p, base, stacks
+
+
+class TestInterleaved:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.tuples(st.sampled_from(["potential", "evaluate", "enrich"]),
+                                  st.integers(0, 5)), min_size=1, max_size=12))
+    def test_every_call_matches_a_fresh_model(self, interleaved, seed, ops):
+        p, base, stacks = interleaved
+        rng = np.random.default_rng(seed)
+        rm = fresh(base)
+        for op, k in ops:
+            if op == "enrich":
+                rm.enrich(p, rng.normal(size=p.n_dofs), rng.normal(size=p.n_dofs), stacks[0][0])
+            elif op == "potential":
+                for got, ref in zip(rm.potential(p, stacks[k]),
+                                    fresh(rm).potential(p, stacks[k])):
+                    assert np.array_equal(got, ref)
+            else:
+                assert_same_evaluation(rm.evaluate(p, stacks[k]),
+                                       fresh(rm).evaluate(p, stacks[k]))
