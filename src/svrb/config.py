@@ -99,9 +99,10 @@ class ExperimentConfig:
         setting, for a custom module's case as for a built-in one."""
         case = dict(self.case)
         name = case.pop("name", "uniform4")
-        module = case.pop("module", None)
         if name == "custom":
-            return _override(_load_custom_case(module), case)
+            return _override(_load_custom_case(case.pop("module", None)), case)
+        if "module" in case:
+            raise ConfigError(f"case key 'module' applies only to a custom case, not to {name!r}")
         n = case.pop("n", 16)
         if name == "uniform4":
             return uniform4_case(n, **case)

@@ -388,13 +388,20 @@ class AffineParametricProblem:
         return (collect(self.diffusion_c, lead), collect(self.load_c, lead),
                 collect(self.diffusion_dc, theta.shape), collect(self.load_dc, theta.shape))
 
+    def _field(self, cA_row):
+        """The diffusion field at every quadrature point for one coefficient
+        row ``(J_A,)``: one matrix-vector product, alone or in any stack."""
+        with np.errstate(invalid="ignore"):  # inf coefficients on zero fields
+            return self.coeff_at_quad @ cA_row
+
     def field_range(self, theta, coeffs=None):
         """Min and max of the diffusion field over all quadrature points,
-        one pair of values per row for a stack ``(M, d)``."""
+        one pair of values per row for a stack ``(M, d)``; each row's field
+        is formed on its own (:meth:`_field`), whatever the stack."""
         cA, _, _, _ = coeffs or self.eval_coefficients(theta)
-        with np.errstate(invalid="ignore"):  # inf coefficients on zero fields
-            values = self.coeff_at_quad @ cA.T  # (Q,) or (Q, M)
-        return values.min(axis=0), values.max(axis=0)
+        fields = map(self._field, np.reshape(cA, (-1, cA.shape[-1])))
+        lo, hi = np.array([(v.min(), v.max()) for v in fields]).reshape(cA.shape[:-1] + (2,)).T
+        return lo, hi
 
     def check_coercive(self, theta, coeffs=None):
         """Raise :class:`CoercivityLost` at the first row of ``theta`` (one
@@ -406,28 +413,18 @@ class AffineParametricProblem:
         fake merit, and a clamped iterate can leave the coercive set.  The
         conservative O(J) bound of :meth:`conservative_field_min`, evaluated
         for the whole stack at once, keeps the typical cost mesh-independent;
-        only rows where that bound is inconclusive get the exact
-        per-quadrature-point minimum (that of :meth:`field_range`), in order
-        and in blocks of 1, 2, 4, ... rows, so a bad row early in the stack
-        stops the check before the rest is formed.  Both read the one
-        coefficient evaluation ``coeffs``.
+        only rows where that bound is inconclusive get the exact minimum, in
+        order, each from the row's own field (:meth:`_field`), so a bad row
+        stops the check early and a row's verdict and reported minimum do
+        not depend on the stack.  A NaN or infinite minimum counts as bad.
         """
-        thetas = np.atleast_2d(theta)
         coeffs = coeffs or self.eval_coefficients(theta)
-        if np.ndim(theta) == 1:  # a single parameter is a stack of one
-            coeffs = tuple(c[None] for c in coeffs)
-        cA = coeffs[0]
-        unsure = np.flatnonzero(self.conservative_field_min(thetas, coeffs) <= self.coercivity_floor)
-        start, size = 0, 1
-        while start < len(unsure):
-            rows = unsure[start:start + size]
-            with np.errstate(invalid="ignore"):  # inf coefficients on zero fields
-                lo = (self.coeff_at_quad @ cA[rows].T).min(axis=0)
-            bad = ~np.isfinite(lo) | (lo <= self.coercivity_floor)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise CoercivityLost(thetas[rows[i]], lo[i], self.coercivity_floor)
-            start, size = start + size, 2 * size
+        cA = np.atleast_2d(coeffs[0])
+        unsure = np.atleast_1d(self.conservative_field_min(theta, coeffs)) <= self.coercivity_floor
+        for m in np.flatnonzero(unsure):
+            lo = self._field(cA[m]).min()
+            if not (np.isfinite(lo) and lo > self.coercivity_floor):
+                raise CoercivityLost(np.atleast_2d(theta)[m], lo, self.coercivity_floor)
 
     def conservative_field_min(self, theta, coeffs=None):
         """Rigorous lower bound on the field minimum, online cost O(J).

@@ -61,7 +61,6 @@ class HiFiEvaluation:
     component ``j``, formed on first read, is ``psi^T (d_j A) u - psi^T (d_j f)``
     expanded through the gradients of the affine coefficients ``coeffs``."""
 
-    theta: np.ndarray
     u: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
     eta: float
@@ -107,8 +106,7 @@ def evaluate(problem, theta, op=None):
     u = op.solve(op.f)
     eta, weighted = _misfit(problem, u)
     psi = op.solve(problem.obs_matrix @ weighted, transpose=True)
-    return HiFiEvaluation(theta=np.asarray(theta, dtype=float), u=u, psi=psi, eta=eta,
-                          problem=problem, coeffs=op.coeffs)
+    return HiFiEvaluation(u=u, psi=psi, eta=eta, problem=problem, coeffs=op.coeffs)
 
 
 def solve_sensitivities(problem, op, u, psi):

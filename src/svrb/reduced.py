@@ -95,7 +95,6 @@ def _unstack(x, single):
 class RBEvaluation:
     """All online quantities at one parameter, or per row of a stack."""
 
-    theta: np.ndarray
     u_r: np.ndarray = field(repr=False)
     psi_r: np.ndarray = field(repr=False)
     u_hat: np.ndarray = field(repr=False)
@@ -345,7 +344,7 @@ class ReducedModel:
         grad_r = chain(dcA, self._per_term(psi_r, self.Aup, u_r)) - chain(dcF, psi_r @ self.fp.T)
         corr = self._per_term(u_hat, self.Au, u_r) + self._per_term(psi_r, self.Ap, psi_hat)
         grad_delta = grad_r + chain(dcA, corr) - chain(dcF, u_hat @ self.fu.T)
-        fields = dict(theta=thetas, u_r=u_r, psi_r=psi_r, u_hat=u_hat, psi_hat=psi_hat,
+        fields = dict(u_r=u_r, psi_r=psi_r, u_hat=u_hat, psi_hat=psi_hat,
                       eta_r=on.eta_r, delta=on.delta, eta_delta=on.eta_r + on.delta,
                       grad_eta_r=grad_r, grad_eta_delta=grad_delta)
         return RBEvaluation(**{k: _unstack(v, single) for k, v in fields.items()})

@@ -53,17 +53,10 @@ class SVGDConfig:
 class ParticleEnsemble:
     particles: np.ndarray = field(repr=False)  # (M, d)
     iteration: int = 0
-    eta: np.ndarray = field(default=None, repr=False)
-    grad_eta: np.ndarray = field(default=None, repr=False)
-    seed: int = 0
 
     @property
     def n_particles(self):
         return self.particles.shape[0]
-
-    @property
-    def dim(self):
-        return self.particles.shape[1]
 
 
 def prior_score(prior, thetas):
@@ -205,7 +198,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
         if prior is None:
             raise ValueError("a flat prior cannot be sampled; pass initial_particles")
         particles = draw_prior(prior, config.n_particles, config.seed)
-    ensemble = ParticleEnsemble(particles=particles, seed=config.seed)
+    ensemble = ParticleEnsemble(particles=particles)
     log = RunLog(meta={"backend": backend.descriptor, "seed": config.seed})
 
     replay = alpha_schedule is not None
@@ -233,7 +226,6 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
                 f"backend {backend.descriptor} returned non-finite values at "
                 f"particle {bad} of iteration {l}"
             )
-        ensemble.eta, ensemble.grad_eta = etas, grads
         log.snapshot(l, ensemble.particles, etas)
 
         scores = prior_score(prior, ensemble.particles) - grads

@@ -390,6 +390,17 @@ class TestBadInputExits2:
         with pytest.raises(ZeroDivisionError, match="in the case"):
             main(["run", "--config", str(cfg)])
 
+    @pytest.mark.parametrize("name", ["uniform4", "gaussian9"])
+    def test_module_key_on_a_built_in_case(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path / "c.json",
+                           case={"name": name, "n": 8, "module": "/nonexistent.py"})
+        with pytest.raises(ConfigError, match="'module'"):
+            ExperimentConfig.from_json(cfg).build_case()
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "'module'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_that_cannot_be_created(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"

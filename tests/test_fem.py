@@ -37,6 +37,24 @@ def guard_pools(p):
             "B": thetas[clear & (lo <= p.coercivity_floor)]}
 
 
+@functools.lru_cache(maxsize=None)
+def edge_rows(p):
+    """Rows within rounding of the coercivity floor, by the field of the row
+    alone: each of 20 ``B`` rows of :func:`guard_pools` scaled toward the
+    origin (where the field is 5) by bisection, one row either side."""
+    rows = []
+    for theta in guard_pools(p)["B"][:20]:
+        good, bad = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (good + bad)
+            if p.field_range(mid * theta)[0] > p.coercivity_floor:
+                good = mid
+            else:
+                bad = mid
+        rows += [good * theta, bad * theta]
+    return np.array(rows)
+
+
 class TestMesh:
     def test_reference_mesh_counts(self):
         mesh = fem.build_mesh(128)
@@ -255,15 +273,15 @@ class TestOperator:
         with pytest.raises(CoercivityLost) as err:
             p.check_coercive(thetas)
         assert np.array_equal(err.value.theta, thetas[bad[0]])
-        assert err.value.min_value == pytest.approx(lows[bad[0]], rel=1e-12, abs=1e-12)
+        assert err.value.min_value == lows[bad[0]]
 
     @settings(max_examples=40, deadline=None)
     @given(head=st.lists(st.sampled_from("SF"), max_size=20),
            tail=st.lists(st.sampled_from("SFB"), max_size=20),
            seed=st.integers(0, 2**32 - 1))
     def test_fast_check_matches_the_full_check(self, uniform4_8, head, tail, seed):
-        # the first unsure row is fine and a later one is bad, so the blocks
-        # of the fast check must pass the fine rows and stop at the bad one
+        # the first unsure row is fine and a later one is bad, so the exact
+        # check must pass the fine rows and stop at the bad one
         p = uniform4_8
         pools = guard_pools(p)
         rng = np.random.default_rng(seed)
@@ -276,11 +294,41 @@ class TestOperator:
             p.check_coercive(thetas)
         assert np.array_equal(err.value.theta, thetas[unsure[first]])
         assert err.value.floor == p.coercivity_floor
-        # the product's width changes its rounding in the last bits
-        assert err.value.min_value == pytest.approx(lo[first], rel=1e-12, abs=1e-12)
+        assert err.value.min_value == lo[first]
         assert str(err.value) == (
             f"diffusion field min {err.value.min_value:.3e} <= floor {p.coercivity_floor:.1e} "
             f"at theta={np.array2string(thetas[unsure[first]], precision=4)}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from("FBXE"), min_size=1, max_size=16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_row_gets_the_same_verdict_alone_and_in_any_stack(self, uniform4_8, kinds, seed):
+        # F and B of guard_pools, rows beyond the prior box (X) and rows within
+        # rounding of the floor (E); each prefix of the stack ends in another
+        # row, so every row is checked at its position behind the rows before it
+        p = uniform4_8
+        pools = dict(guard_pools(p), X=np.random.default_rng(5).uniform(-5.0, 5.0, (500, 4)),
+                     E=edge_rows(p))
+        rng = np.random.default_rng(seed)
+        thetas = np.array([pools[k][rng.integers(len(pools[k]))] for k in kinds])
+        alone = []  # the minimum a row reports when it fails alone, else None
+        for theta in thetas:
+            try:
+                p.check_coercive(theta)
+                alone.append(None)
+            except CoercivityLost as exc:
+                assert exc.min_value == p.field_range(theta)[0]
+                alone.append(exc.min_value)
+        assert np.array_equal(p.field_range(thetas)[0], [p.field_range(t)[0] for t in thetas])
+        for end in range(1, len(thetas) + 1):
+            bad = [i for i in range(end) if alone[i] is not None]
+            if not bad:
+                p.check_coercive(thetas[:end])
+                continue
+            with pytest.raises(CoercivityLost) as err:
+                p.check_coercive(thetas[:end])
+            assert np.array_equal(err.value.theta, thetas[bad[0]])
+            assert err.value.min_value == alone[bad[0]]
 
     def test_non_symmetric_block_rejected(self, uniform4_8):
         A_data = uniform4_8.A_data.copy()

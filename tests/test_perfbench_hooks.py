@@ -4,14 +4,16 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from svrb import cli
-from svrb.backends import HiFiBackend
+from svrb import cli, hifi, verify
+from svrb.backends import HiFiBackend, RBBackend
 from svrb.cases import assemble_problem, uniform4_case
+from svrb.fem import CoercivityLost
 from svrb.reduced import ReducedModel
-from svrb.svgd import SVGDConfig, svgd_run
+from svrb.svgd import SVGDConfig, draw_prior, svgd_run
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -90,3 +92,39 @@ def test_rb_run_fires_every_predicted_span(tmp_path, workload):
         assert len(built) == 1
         stored = ReducedModel.load(tmp_path / "out" / "rb.npz")
         assert built[0][tracing.EXTRA]["n_state"] == stored.n_state
+
+
+def test_an_abort_is_the_first_row_that_fails_alone():
+    """The benchmark accepts a chains-u4 exit 3 only if some row of the prior
+    draw fails ``check_coercive`` alone; the guarded batch must then raise, at
+    the first such row, and only then."""
+    problem = assemble_problem(uniform4_case(32))
+    backend = RBBackend(problem, verify.build_small_rb(problem, np.random.default_rng(0), 2))
+    outcomes = set()
+    for seed in range(40):
+        draw = draw_prior(problem.prior, 64, seed)
+        bad = []
+        for theta in draw:
+            try:
+                problem.check_coercive(theta)
+            except CoercivityLost:
+                bad.append(theta)
+        outcomes.add(bool(bad))
+        if not bad:
+            etas, grads = backend.evaluate_batch(draw)
+            assert etas.shape == (64,) and grads.shape == (64, 4)
+            continue
+        with pytest.raises(CoercivityLost) as err:
+            backend.evaluate_batch(draw)
+        assert np.array_equal(err.value.theta, bad[0])
+    assert outcomes == {False, True}
+
+
+def test_shapes_the_worker_reads():
+    """``perfbench/worker.py`` calls these directly for its surrogate error."""
+    problem = assemble_problem(uniform4_case(8))
+    theta = verify.draw_coercive(problem, np.random.default_rng(1), 1)[0]
+    out = verify.build_small_rb(problem, np.random.default_rng(2), 2).potential(problem, theta)
+    assert len(out) == 4 and np.ndim(out[1]) == 0
+    eta_h, u = hifi.potential(problem, theta)
+    assert np.ndim(eta_h) == 0 and u.shape == (problem.n_dofs,)
