@@ -18,6 +18,7 @@ class IterationRecord:
     n_enriched: int = 0
     certified_max_indicator: float = None
     evaluations: int = None  # backend evaluations: factorizations on hifi, online rows on RB
+    backtracks: int = None  # halvings from the line search's start step; None when replayed
     clamped: int = 0
     flags: list = field(default_factory=list)
     timers: dict = field(default_factory=dict)
@@ -87,7 +88,7 @@ class RunLog:
 
     def write_history_csv(self, path):
         cols = ["l", "t", "alpha", "eps_r", "n_state", "n_adjoint", "n_enriched", "clamped",
-                "evaluations"]
+                "evaluations", "backtracks"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)

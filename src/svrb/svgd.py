@@ -4,13 +4,15 @@ Particles carry an RBF-kernel interacting system: each update moves every
 particle along a sample-averaged direction combining score-weighted
 attraction and kernel-gradient repulsion.  The kernel bandwidth follows
 the median heuristic, the step size comes from a backtracking line search
-on the sample-average potential, and the iteration stops when the largest
-particle update drops below a tolerance.  Each iteration hands the backend
-the whole particle stack once for potentials and gradients, and once per
-line-search trial for potentials, together with the sum of potentials
-beyond which the trial is rejected for certain.
+on the sample-average potential that starts at twice the last accepted
+step, and the iteration stops when the largest particle update drops below
+a tolerance.  Each iteration hands the backend the whole particle stack
+once for potentials and gradients, and once per line-search trial for
+potentials, together with the sum of potentials beyond which the trial is
+rejected for certain.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +31,10 @@ class NumericalAbort(RuntimeError):
 
 @dataclass
 class SVGDConfig:
+    """Sampler settings.  ``alpha_init`` is the first line search's start step
+    and the cap on every later start; ``max_backtracks`` bounds the trials of
+    one search."""
+
     n_particles: int = 64
     max_steps: int = 100
     tol: float = 1e-3
@@ -129,7 +135,9 @@ def line_search(particles, direction, potential_fn, prior, alpha_init=1.0,
     that trial's merit infinite; a failure at the current particles raises
     :class:`NumericalAbort`.  Returns ``(alpha, exhausted, n_evaluations)``,
     the last counting the particle rows handed to ``potential_fn`` in calls
-    that returned.
+    that returned.  Trial ``k`` (from 0) steps ``alpha_init * 2**-k``, so an
+    accepted step is ``alpha_init`` halved ``log2(alpha_init / alpha)`` times;
+    an exhausted search returns ``alpha_init * 2**-max_backtracks``.
 
     A trial is accepted iff ``mean(eta + neglog) < base``, that is iff
     ``sum(eta) < M * base - sum(neglog)``; the prior terms are computed
@@ -186,6 +194,13 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
     ``alpha_schedule`` is given, the line search is skipped, the recorded
     step sizes are replayed, and exactly ``len(alpha_schedule)`` iterations
     run -- this pins matched trajectories for discrepancy studies.
+    Otherwise each line search starts at ``min(alpha_init, 2 * alpha)``, with
+    ``alpha`` the step the previous search accepted, so it seldom relearns
+    the scale of the last step; the first search, and the first after an
+    exhausted one, start at ``alpha_init``.  Every step is thus
+    ``alpha_init * 2**-k``.  Each record's ``backtracks`` is the number of
+    halvings from its search's start (``max_backtracks`` when exhausted,
+    ``None`` when replayed).
     Each record and the log's meta (``backend``, ``seed``; callers add their
     keys after the run) carry ``evaluations``, the growth of
     ``backend.n_evaluations`` over the iteration and over the run.  Each
@@ -204,6 +219,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
     replay = alpha_schedule is not None
     max_steps = len(alpha_schedule) if replay else config.max_steps
     evaluations0 = backend.n_evaluations
+    start = config.alpha_init  # first trial step of the next line search
     t = 2.0 * config.tol
     l = 0
     while l < max_steps and (replay or t > config.tol):
@@ -234,15 +250,18 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
         t = stopping_indicator(direction)
 
         flags = []
+        backtracks = None
         if replay:
             alpha = float(alpha_schedule[l])
         else:
             alpha, exhausted, _ = line_search(
                 ensemble.particles, direction, backend.potential_batch, prior,
-                config.alpha_init, config.max_backtracks,
+                start, config.max_backtracks,
             )
+            backtracks = round(math.log2(start / alpha))
             if exhausted:
                 flags.append("line_search_exhausted")
+            start = config.alpha_init if exhausted else min(config.alpha_init, 2.0 * alpha)
 
         updated = ensemble.particles + alpha * direction
         n_clamped = 0
@@ -254,7 +273,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
         timers = {k: v - timers0.get(k, 0.0) for k, v in backend.timers.items()}
         timers["svgd_overhead"] = time.perf_counter() - t0 - sum(timers.values())
         record = IterationRecord(
-            l=l, t=t, alpha=alpha, backend=backend.descriptor,
+            l=l, t=t, alpha=alpha, backtracks=backtracks, backend=backend.descriptor,
             evaluations=backend.n_evaluations - n_evaluations,
             clamped=n_clamped, flags=flags + extra.pop("flags", []), timers=timers,
         )

@@ -475,7 +475,11 @@ class TestEvaluationCounts:
         assert all(n >= 2 * 4 for n in per_iteration)
         assert lines[0]["meta"]["evaluations"] == sum(per_iteration)
         with open(out / "history.csv") as fh:
-            assert [int(r["evaluations"]) for r in csv.DictReader(fh)] == per_iteration
+            rows = list(csv.DictReader(fh))
+        assert [int(r["evaluations"]) for r in rows] == per_iteration
+        backtracks = [rec["backtracks"] for rec in lines[1:]]
+        assert all(isinstance(k, int) and k >= 0 for k in backtracks)
+        assert [int(r["backtracks"]) for r in rows] == backtracks
 
     def test_analyze_reads_a_log_without_counts(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -485,12 +489,13 @@ class TestEvaluationCounts:
             lines = [json.loads(line) for line in fh]
         del lines[0]["meta"]["evaluations"]
         for rec in lines[1:]:
-            del rec["evaluations"]
+            del rec["evaluations"], rec["backtracks"]
         (out / "runlog.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
         assert main(["analyze", str(out)]) == 0
         with open(out / "history.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 and all(r["evaluations"] == "" for r in rows)
+        assert len(rows) == 2
+        assert all(r["evaluations"] == r["backtracks"] == "" for r in rows)
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from svrb import cli, hifi, verify
-from svrb.backends import HiFiBackend, RBBackend
-from svrb.cases import assemble_problem, uniform4_case
+from svrb.backends import GaussianBackend, HiFiBackend, RBBackend
+from svrb.cases import StandardGaussian, assemble_problem, uniform4_case
 from svrb.fem import CoercivityLost
 from svrb.reduced import ReducedModel
 from svrb.svgd import SVGDConfig, draw_prior, svgd_run
@@ -59,6 +59,32 @@ def test_hifi_batches_give_one_span_per_parameter():
     assert tracer.splu_calls == backend.n_evaluations + factorized_then_failed
     assert all(r[tracing.SPLU1] - r[tracing.SPLU0] == 1 for r in calls
                if r[tracing.ERROR] is None)
+
+
+def test_line_search_spans_match_the_records():
+    """The benchmark counts trials and backtracks from ``line_search``'s
+    positional argument 4, the start step; under warm starts that is not
+    ``alpha_init``, and the counts must still match the run's records."""
+    tracing = _tracing()
+    # some searches start below alpha_init, some exhaust and restart
+    backend, prior = GaussianBackend(np.array([1.0, -0.5])), StandardGaussian(2)
+    cfg = SVGDConfig(n_particles=4, max_steps=10, tol=1e-12, alpha_init=3.0,
+                     max_backtracks=3, seed=0)
+    table = [entry for entry in tracing.SPANS if entry[2] == "svgd.line_search"]
+    tracer = tracing.Tracer(table)
+    try:
+        _, log = svgd_run(backend, prior, cfg)
+    finally:
+        tracer.close()
+    spans = [r[tracing.EXTRA] for r in tracer.spans]
+    assert len(spans) == len(log.records) > 0
+    assert any(r.alpha < cfg.alpha_init * 2.0**-r.backtracks for r in log.records)
+    assert any("line_search_exhausted" in r.flags for r in log.records)
+    for extra, record in zip(spans, log.records):
+        exhausted = "line_search_exhausted" in record.flags
+        assert extra["exhausted"] == int(exhausted)
+        assert extra["backtracks"] == record.backtracks
+        assert extra["trials"] == record.backtracks + (not exhausted)
 
 
 TINY_RUNS = {

@@ -315,6 +315,84 @@ class TestEarlyRejection:
         assert n_honoured < n_ignored
 
 
+class TestWarmStart:
+    """Each line search starts at twice the last accepted step, capped at
+    ``alpha_init``; the first search and the first after an exhausted one
+    start at ``alpha_init``."""
+
+    @staticmethod
+    def traced_run(backend, prior, cfg):
+        """The run plus ``(start, alpha, exhausted)`` of every line search."""
+        import svrb.svgd
+
+        searches = []
+
+        def traced(*args, **kwargs):
+            out = line_search(*args, **kwargs)
+            searches.append((args[4], out[0], out[1]))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svrb.svgd, "line_search", traced)
+            ens, log = svgd_run(backend, prior, cfg)
+        return ens, log, searches
+
+    @staticmethod
+    def check_starts(cfg, log, searches):
+        assert len(searches) == len(log.records) > 0
+        for i, (start, alpha, exhausted) in enumerate(searches):
+            if i == 0 or searches[i - 1][2]:
+                assert start == cfg.alpha_init
+            else:
+                assert start == min(cfg.alpha_init, 2.0 * searches[i - 1][1])
+            assert start <= cfg.alpha_init
+            k = log.records[i].backtracks
+            assert alpha == start * 2.0**-k
+            if exhausted:
+                assert k == cfg.max_backtracks
+            else:
+                assert k < cfg.max_backtracks
+            # every step is the configured one halved a whole number of times
+            assert alpha == cfg.alpha_init * 2.0**-round(np.log2(cfg.alpha_init / alpha))
+            assert log.records[i].alpha == alpha
+            assert ("line_search_exhausted" in log.records[i].flags) == exhausted
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), m=st.integers(1, 8),
+           alpha_init=st.sampled_from([0.05, 0.3, 1.0, 3.0, 16.0]),
+           max_backtracks=st.integers(1, 12), seed=st.integers(0, 2**16),
+           box=st.booleans())
+    def test_start_rule_and_replay(self, data, d, m, alpha_init, max_backtracks, seed, box):
+        mean = data.draw(arrays(float, (d,), elements=st.floats(-3.0, 3.0)))
+        prior = UniformBox([-1.0] * d, [1.0] * d) if box else StandardGaussian(d)
+        cfg = SVGDConfig(n_particles=m, max_steps=12, tol=1e-12, alpha_init=alpha_init,
+                         max_backtracks=max_backtracks, seed=seed)
+        ens, log, searches = self.traced_run(GaussianBackend(mean), prior, cfg)
+        self.check_starts(cfg, log, searches)
+        replayed, log2 = svgd_run(GaussianBackend(mean), prior, cfg,
+                                  alpha_schedule=log.alphas)
+        assert np.array_equal(replayed.particles, ens.particles)
+        assert np.array_equal(log2.trajectory, log.trajectory)
+        assert all(r.backtracks is None for r in log2.records)
+
+    def test_exhausted_search_restarts_at_alpha_init(self):
+        # three trials from 3.0 cannot find a step short enough once the
+        # particles near the mode, so searches exhaust; a search after one
+        # starts at alpha_init again and can accept a long step
+        cfg = SVGDConfig(n_particles=4, max_steps=10, tol=1e-12, alpha_init=3.0,
+                         max_backtracks=3, seed=0)
+        backend = GaussianBackend(np.array([1.0, -0.5]))
+        _, log, searches = self.traced_run(backend, StandardGaussian(2), cfg)
+        self.check_starts(cfg, log, searches)
+        starts = [start for start, _, _ in searches]
+        assert starts[:4] == [3.0, 3.0, 1.5, 3.0]
+        assert searches[2][2] and searches[3][2]
+        assert [r.backtracks for r in log.records[:4]] == [1, 2, 3, 3]
+        # the step after the exhaustions is longer than twice the exhausted one
+        later = [alpha for _, alpha, exhausted in searches[4:] if not exhausted]
+        assert later and max(later) > 2.0 * searches[3][1]
+
+
 class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"n_particles": 0}, {"max_steps": -1}, {"tol": -1.0}, {"alpha_init": 0.0},
