@@ -50,7 +50,7 @@ class SweepResult:
     max_indicator: float
     history: list = field(default_factory=list)  # max indicator after each pass
     flags: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)  # particle indices lost to coercivity
+    skipped: list = field(default_factory=list)  # indices of non-coercive particles
 
 
 def initialize(problem, theta):
@@ -76,14 +76,13 @@ def tolerance_update(cfg, t_l, t_0, previous=None):
 def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis):
     """Enrich at worst-indicator particles until all are within ``tol``.
 
-    Each pass scores every particle not yet excluded in one online pass.
-    Stops early when the basis cap is reached or when the selected
-    parameter is already a snapshot and its indicator refuses to drop
-    (both loudly flagged).  Particles whose high-fidelity solve loses
-    coercivity are skipped for the sweep.
+    Each pass scores every live particle in one online pass.  Stops early
+    when the basis cap is reached or when the selected parameter is already
+    a snapshot and its indicator refuses to drop (both loudly flagged).
+    The particles the online pass's guard rejects are skipped for the sweep
+    before any particle is scored; the model guards the rest once.
     """
     particles = np.atleast_2d(particles)
-    coeffs = problem.eval_coefficients(particles)  # the particles stay put within a sweep
     result = SweepResult(n_enriched=0, max_indicator=np.inf)
     live = np.ones(len(particles), dtype=bool)
     last_selected = {}  # theta bytes -> indicator when last selected
@@ -91,8 +90,13 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis
     while True:
         vals = np.full(len(particles), -np.inf)
         if live.any():
-            live_coeffs = tuple(c[live] for c in coeffs)
-            vals[live] = np.abs(rm._solve_online(problem, particles[live], live_coeffs).delta)
+            try:  # only a new stack is guarded: the first pass, or one after a skip
+                vals[live] = np.abs(rm._solve_online(problem, particles[live]).delta)
+            except CoercivityLost as lost:
+                pick = int(np.flatnonzero(live)[lost.row])
+                live[pick] = False
+                result.skipped.append(pick)
+                continue
         worst = float(vals.max())
         result.history.append(worst)
         result.max_indicator = worst
@@ -109,12 +113,7 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis
             result.flags.append("stagnation")
             break
         last_selected[key] = vals[pick]
-        try:
-            ev = hifi.evaluate(problem, theta)
-        except CoercivityLost:
-            live[pick] = False
-            result.skipped.append(pick)
-            continue
+        ev = hifi.evaluate(problem, theta)
         rm.enrich(problem, ev.u, ev.psi, theta)
         result.n_enriched += 1
     return result

@@ -79,11 +79,10 @@ class RBBackend:
 
     The same instance serves both the fixed and the adaptive pipeline; the
     adaptive driver enriches ``self.model`` between sweeps.  ``evaluate``
-    and ``potential`` take one parameter or a stack, and both first pass
-    the stack through :meth:`~svrb.fem.AffineParametricProblem.check_coercive`;
-    the guard and the online pass share one coefficient evaluation.  The
-    batch methods call them on the whole stack, so a wrapper installed on
-    the class sees every batch.  The stack is evaluated in one pass, so
+    and ``potential`` take one parameter or a stack and only time and count
+    the model's online pass, which guards the stack itself.  The batch
+    methods call them on the whole stack, so a wrapper installed on the
+    class sees every batch.  The stack is evaluated in one pass, so
     :meth:`potential_batch` ignores its ``budget``; a corrected reduced
     potential can be negative, which would void it anyway.
     """
@@ -96,14 +95,11 @@ class RBBackend:
         self.n_evaluations = 0
 
     def _online(self, method, theta):
-        """Guard the stack, then run the model's ``method`` on it, timed and counted."""
-        thetas = np.atleast_2d(theta)
-        coeffs = self.problem.eval_coefficients(thetas)
-        self.problem.check_coercive(thetas, coeffs)
+        """Run the model's ``method`` on the stack, timed and counted."""
         t0 = time.perf_counter()
-        out = method(self.problem, theta, coeffs)
+        out = method(self.problem, theta)
         self.timers["rb_online"] += time.perf_counter() - t0
-        self.n_evaluations += len(thetas)
+        self.n_evaluations += len(np.atleast_2d(theta))
         return out
 
     def evaluate(self, theta):

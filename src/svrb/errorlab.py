@@ -134,19 +134,18 @@ def bound_constants(problem, theta):
 
 
 def rb_sensitivities(rm, problem, theta, u_r, psi_r):
-    """Reduced parameter sensitivities of the state and adjoint coefficients."""
-    cA, cF, dcA, dcF = problem.eval_coefficients(theta)
-    Au, Ap, _, _ = rm._online_operators(cA, cF)
+    """Reduced parameter sensitivities of the state and adjoint coefficients
+    at one parameter, solved with the factors of the model's online pass."""
+    on = rm._solve_online(problem, np.atleast_2d(np.asarray(theta, dtype=float)))
     # the derivative operators are the same affine sums over the coefficient gradients
-    dAu, dAp, dfu, _ = rm._online_operators(dcA.T, dcF.T)
-    # one solve per system, the d parameter directions as right-hand sides
-    du = np.linalg.solve(Au, (dfu - dAu @ u_r).T).T
+    dAu, dAp, dfu, _ = rm._online_operators(on.coeffs[2][0].T, on.coeffs[3][0].T)
+    # one block of right-hand sides per system, one per parameter direction
+    du = on.solve[0]((dfu - dAu @ u_r)[None])[0]
     rhs_p = -(np.swapaxes(dAp, 1, 2) @ psi_r) - problem.misfit_weighted(du @ rm.Ou) @ rm.Op.T
-    return du, np.linalg.solve(Ap.T, rhs_p.T).T
+    return du, on.solve[1](rhs_p[None])[0]  # A_p is its own transpose
 
 
-def residual_vectors(problem, rm, theta, u_r_full, psi_r_full,
-                     du_r_full=None, dpsi_r_full=None):
+def residual_vectors(problem, theta, u_r_full, psi_r_full, du_r_full=None, dpsi_r_full=None):
     """Full-space residual functionals of the reduced solutions.
 
     Returns ``(r_u, r_psi, r_u_j, r_psi_j)``; the per-derivative residuals
@@ -203,7 +202,7 @@ def true_errors(problem, rm, theta):
     misfit_r = problem.misfit_weighted(problem.y - rm.Ou.T @ ev.u_r)
     grad_r_true = -(du_r @ rm.Ou) @ misfit_r
     r_u, r_psi, r_u_j, r_psi_j = residual_vectors(
-        problem, rm, theta, u_r, psi_r, du_r_full, dpsi_r_full)
+        problem, theta, u_r, psi_r, du_r_full, dpsi_r_full)
 
     def v_sum(vectors):  # summed over the parameter derivatives
         return sum(problem.v_norm(v) for v in vectors)

@@ -26,13 +26,15 @@ import scipy.sparse.linalg as spla
 
 
 class CoercivityLost(RuntimeError):
-    """The diffusion field is not strictly positive at some quadrature point."""
+    """The diffusion field of ``theta``, row ``row`` of the checked stack, is
+    not strictly positive at some quadrature point."""
 
-    def __init__(self, theta, min_value, floor):
+    def __init__(self, theta, min_value, floor, row=0):
         self.theta = np.asarray(theta, dtype=float)
         self.min_value = float(min_value)
         self.floor = float(floor)
-        super().__init__(self.theta, self.min_value, self.floor)
+        self.row = int(row)
+        super().__init__(self.theta, self.min_value, self.floor, self.row)
 
     def __str__(self):  # formatted when read: line-search trials swallow most of these
         return (f"diffusion field min {self.min_value:.3e} <= floor {self.floor:.1e} "
@@ -424,7 +426,7 @@ class AffineParametricProblem:
         for m in np.flatnonzero(unsure):
             lo = self._field(cA[m]).min()
             if not (np.isfinite(lo) and lo > self.coercivity_floor):
-                raise CoercivityLost(np.atleast_2d(theta)[m], lo, self.coercivity_floor)
+                raise CoercivityLost(np.atleast_2d(theta)[m], lo, self.coercivity_floor, m)
 
     def conservative_field_min(self, theta, coeffs=None):
         """Rigorous lower bound on the field minimum, online cost O(J).

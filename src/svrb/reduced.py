@@ -19,14 +19,16 @@ in place, and every solve with that operator reuses the factor.
 is; :meth:`ReducedModel.evaluate` adds the two incremental solves and both
 gradients.  A single parameter is a stack of one.
 
-The model holds its last pass, read-only, and hands it out again when the
-same problem object asks for a bitwise-equal stack; every basis growth
-drops it.  The sampler asks for the same stack several times in a row: the
-line search's reference merit at the particles the iteration has just
-evaluated, the next evaluation at the accepted trial's particles (when
-clamping left them unchanged), and the first evaluation after a greedy
-sweep at the particles of its last indicator pass.  Each of these costs no
-new pass.
+The pass evaluates the affine coefficients and, as the high-fidelity model
+does, refuses a non-coercive row (:class:`~svrb.fem.CoercivityLost`).  The
+model holds the last guarded stack and its pass, read-only, and hands them
+out again when the same problem object asks for a bitwise-equal stack; a
+basis growth drops the pass but keeps the stack, so a greedy sweep guards
+its particles once.  The sampler asks for one stack several times in a row:
+the line search's reference merit at the particles just evaluated, the next
+evaluation at the accepted trial's particles (when clamping left them
+unchanged), and the first evaluation after a greedy sweep at the particles
+of its last indicator pass; none of these builds a new pass.
 
 Conventions: reduced matrices follow the Galerkin layout ``B[m, n] =
 A(basis_n, basis_m)``; the cross block maps state coefficients to adjoint
@@ -123,7 +125,8 @@ class ReducedModel:
         self.provenance = provenance
         self.deflated = []          # (which, theta) for skipped snapshots
         self.fingerprint = None     # problem_fingerprint of the problem it was built for
-        self._held = None           # (problem, stack key, _Online) of the last online pass
+        self._held_stack = None     # (problem, key, coefficients) of the last guarded stack
+        self._held_pass = None      # the _Online of that stack on the current bases
 
     # -- construction ----------------------------------------------------
 
@@ -194,7 +197,7 @@ class ReducedModel:
         the new column with one matrix product, and the cross block with
         another.
         """
-        self._held = None  # a pass on the old bases is stale
+        self._held_pass = None  # a pass on the old bases is stale; its guarded stack is not
         state = which == "state"
         old, other = (self.basis_u, self.basis_psi) if state else (self.basis_psi, self.basis_u)
         k = old.shape[1]
@@ -248,8 +251,8 @@ class ReducedModel:
     def _factor(A, what):
         """Cholesky-factor every row of the symmetric positive definite stack
         ``A`` ``(M, N, N)`` in place: row m read in Fortran order is its own
-        transpose, which LAPACK overwrites.  Returns the solver ``b -> x``
-        with ``A[m] x[m] = b[m]`` for every row, each row solved in place."""
+        transpose, which LAPACK overwrites.  Returns the solver ``b -> x`` with
+        ``A[m] x[m].T = b[m].T`` for every row, in place; ``b[m]`` is ``(N,)`` or ``(k, N)``."""
         if A.shape[-1] == 0:
             raise RBSolveFailed(f"{what}: reduced basis is empty")
         rows = np.swapaxes(np.ascontiguousarray(A), 1, 2)  # Fortran-ordered views
@@ -264,7 +267,7 @@ class ReducedModel:
         def solve(b):
             x = np.array(b, dtype=float)
             for row, xm in zip(rows, x):
-                lapack.dpotrs(row, xm, 0, 1)
+                lapack.dpotrs(row, xm.T, 0, 1)  # a block's transpose is Fortran-ordered
             return x
         return solve
 
@@ -277,20 +280,24 @@ class ReducedModel:
                  - np.einsum("mp,mp->m", psi_r, cF @ self.fp))
         return _unstack(delta, single)
 
-    def _solve_online(self, problem, thetas, coeffs):
-        """The one online pass over the stack ``thetas`` with its
-        coefficients ``coeffs``: operators, reduced state, weighted misfit,
-        reduced adjoint, plain potential and dual-weighted residual, behind
-        :meth:`potential`, :meth:`evaluate` and the greedy indicator.
-
-        The pass is held: asked again by the same ``problem`` object for a
-        stack with the same bytes, it is returned as it is.  Its arrays,
-        ``coeffs`` included, are read-only.
-        """
+    def _solve_online(self, problem, thetas):
+        """The one online pass over the stack ``thetas``: coefficients and
+        coercivity guard, operators, reduced state, weighted misfit, reduced
+        adjoint, plain potential and dual-weighted residual, behind
+        :meth:`potential`, :meth:`evaluate` and the greedy indicator.  Asked
+        again by the same ``problem`` object for a stack with the same bytes,
+        it returns the held pass, or builds one on the held coefficients after
+        a basis growth.  Its arrays are read-only."""
         key = (thetas.dtype.str, thetas.shape, thetas.tobytes())
-        if self._held is not None and self._held[0] is problem and self._held[1] == key:
-            return self._held[2]
-        self._held = None  # freed before the new pass is built
+        held = self._held_stack
+        if held is None or held[0] is not problem or held[1] != key:
+            self._held_stack = self._held_pass = None  # freed before the new pass is built
+            coeffs = problem.eval_coefficients(thetas)
+            problem.check_coercive(thetas, coeffs)
+            self._held_stack = (problem, key, coeffs)
+        elif self._held_pass is not None:
+            return self._held_pass
+        coeffs = self._held_stack[2]
         Au, Ap, fu, fp = self._online_operators(coeffs[0], coeffs[1])
         solve = self._factor(Au, "state"), self._factor(Ap, "adjoint")
         u_r = solve[0](fu)
@@ -300,33 +307,29 @@ class ReducedModel:
         eta_r = 0.5 * np.einsum("ms,ms->m", residual, misfit)
         delta = self.dwr(problem, thetas, u_r, psi_r, coeffs)
         on = _Online(coeffs, solve, fp, u_r, psi_r, misfit, eta_r, delta)
-        for array in (*on.coeffs, fp, u_r, psi_r, misfit, eta_r, delta):
+        for array in (*coeffs, fp, u_r, psi_r, misfit, eta_r, delta):
             array.flags.writeable = False
-        self._held = (problem, key, on)
+        self._held_pass = on
         return on
 
-    def potential(self, problem, theta, coeffs=None):
-        """Plain and corrected reduced potentials.
-
-        Returns ``(eta_r, eta_delta, u_r, psi_r)``.  ``coeffs``, if given,
-        holds the coefficients of the stack ``(M, d)`` of ``theta``.
-        """
+    def potential(self, problem, theta):
+        """Plain and corrected reduced potentials: ``(eta_r, eta_delta, u_r, psi_r)``."""
         thetas, single = _stack(theta)
-        on = self._solve_online(problem, thetas, coeffs or problem.eval_coefficients(thetas))
+        on = self._solve_online(problem, thetas)
         return tuple(_unstack(x, single)
                      for x in (on.eta_r, on.eta_r + on.delta, on.u_r, on.psi_r))
 
-    def evaluate(self, problem, theta, coeffs=None):
+    def evaluate(self, problem, theta):
         """All online quantities at ``theta`` in one pass.
 
         On top of the online pass, the incremental adjoint (carrying the
         state residual) and the incremental state (collecting the adjoint
         residual, the misfit functional and the observation coupling of the
         incremental adjoint) give the gradients of the plain and the
-        corrected reduced potentials.  ``coeffs`` is as in :meth:`potential`.
+        corrected reduced potentials.
         """
         thetas, single = _stack(theta)
-        on = self._solve_online(problem, thetas, coeffs or problem.eval_coefficients(thetas))
+        on = self._solve_online(problem, thetas)
         u_r, psi_r = on.u_r, on.psi_r
         solve_u, solve_p = on.solve
         cA, _, dcA, dcF = on.coeffs

@@ -137,7 +137,8 @@ def line_search(particles, direction, potential_fn, prior, alpha_init=1.0,
     the last counting the particle rows handed to ``potential_fn`` in calls
     that returned.  Trial ``k`` (from 0) steps ``alpha_init * 2**-k``, so an
     accepted step is ``alpha_init`` halved ``log2(alpha_init / alpha)`` times;
-    an exhausted search returns ``alpha_init * 2**-max_backtracks``.
+    an exhausted search returns its untried next step ``alpha_init *
+    2**-max_backtracks``, which :func:`svgd_run` does not take.
 
     A trial is accepted iff ``mean(eta + neglog) < base``, that is iff
     ``sum(eta) < M * base - sum(neglog)``; the prior terms are computed
@@ -190,17 +191,18 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
 
     ``hook(l, ensemble, latest_t, runlog)`` runs at the start of every
     iteration (``latest_t`` is the last stopping indicator, ``None`` at
-    ``l = 0``); the fields it returns go into that iteration's record.  When
-    ``alpha_schedule`` is given, the line search is skipped, the recorded
+    ``l = 0``); the :class:`~svrb.runlog.IterationRecord` fields it returns go
+    into that iteration's record, and any other name raises ``TypeError``.
+    When ``alpha_schedule`` is given, the line search is skipped, the recorded
     step sizes are replayed, and exactly ``len(alpha_schedule)`` iterations
     run -- this pins matched trajectories for discrepancy studies.
     Otherwise each line search starts at ``min(alpha_init, 2 * alpha)``, with
     ``alpha`` the step the previous search accepted, so it seldom relearns
     the scale of the last step; the first search, and the first after an
     exhausted one, start at ``alpha_init``.  Every step is thus
-    ``alpha_init * 2**-k``.  Each record's ``backtracks`` is the number of
-    halvings from its search's start (``max_backtracks`` when exhausted,
-    ``None`` when replayed).
+    ``alpha_init * 2**-k``, or 0 when no trial lowered the merit.  Each
+    record's ``backtracks`` is the number of halvings from its search's
+    start (``max_backtracks`` when exhausted, ``None`` when replayed).
     Each record and the log's meta (``backend``, ``seed``; callers add their
     keys after the run) carry ``evaluations``, the growth of
     ``backend.n_evaluations`` over the iteration and over the run.  Each
@@ -259,7 +261,8 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
                 start, config.max_backtracks,
             )
             backtracks = round(math.log2(start / alpha))
-            if exhausted:
+            if exhausted:  # no trial lowered the merit, so the particles stay put
+                alpha = 0.0
                 flags.append("line_search_exhausted")
             start = config.alpha_init if exhausted else min(config.alpha_init, 2.0 * alpha)
 
@@ -272,14 +275,11 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
 
         timers = {k: v - timers0.get(k, 0.0) for k, v in backend.timers.items()}
         timers["svgd_overhead"] = time.perf_counter() - t0 - sum(timers.values())
-        record = IterationRecord(
+        log.add(IterationRecord(
             l=l, t=t, alpha=alpha, backtracks=backtracks, backend=backend.descriptor,
             evaluations=backend.n_evaluations - n_evaluations,
-            clamped=n_clamped, flags=flags + extra.pop("flags", []), timers=timers,
-        )
-        for key, value in extra.items():
-            setattr(record, key, value)
-        log.add(record)
+            clamped=n_clamped, flags=flags + extra.pop("flags", []), timers=timers, **extra,
+        ))
         l += 1
 
     log.snapshot(l, ensemble.particles)  # final (or prior-only) state

@@ -23,6 +23,11 @@ def uniform4_16():
 
 
 @pytest.fixture(scope="session")
+def uniform4_32():
+    return assemble_problem(uniform4_case(32))
+
+
+@pytest.fixture(scope="session")
 def gaussian9_9():
     return assemble_problem(gaussian9_case(9))
 

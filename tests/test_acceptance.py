@@ -37,11 +37,6 @@ def report(criterion, passed, detail=""):
 
 
 @pytest.fixture(scope="module")
-def uniform4_32():
-    return assemble_problem(uniform4_case(32))
-
-
-@pytest.fixture(scope="module")
 def problems_16():
     return {
         "uniform4": assemble_problem(uniform4_case(16)),

@@ -9,9 +9,11 @@ from svrb.backends import RBBackend
 from svrb.cases import AffineTerm, UniformBox, UnsupportedCoefficient, assemble_problem, custom_case
 from svrb.fem import CoercivityLost
 from svrb.reduced import RBSolveFailed, ReducedModel
+from svrb.svgd import draw_prior
 from svrb.verify import build_small_rb, draw_coercive
 
 from test_hifi import _count_calls
+from test_online_reuse import fresh
 
 RTOL = 1e-12
 
@@ -66,7 +68,7 @@ class TestStackMatchesRows:
         p, rm, thetas = case
         eta_r, eta_delta, u_r, psi_r = rm.potential(p, thetas)
         ev = rm.evaluate(p, thetas)
-        on = rm._solve_online(p, thetas, p.eval_coefficients(thetas))  # the indicator's pass
+        on = rm._solve_online(p, thetas)  # the indicator's pass
         for name, got in (("u_r", u_r), ("psi_r", psi_r), ("eta_r", eta_r)):
             assert np.array_equal(got, getattr(ev, name))
             assert np.array_equal(got, getattr(on, name))
@@ -149,9 +151,21 @@ class TestCholeskyPath:
                 call(p, thetas)
 
 
+def rejected_rows(problem, particles):
+    """Indices of the rows that ``check_coercive`` rejects, each checked alone."""
+    rejected = []
+    for m, theta in enumerate(particles):
+        try:
+            problem.check_coercive(theta)
+        except CoercivityLost:
+            rejected.append(m)
+    return rejected
+
+
 def reference_sweep(rm, problem, particles, tol, max_basis=500, stagnation_drop=0.1):
-    """The greedy sweep with every indicator taken one parameter at a time."""
-    excluded, last_selected, order = set(), {}, []
+    """The greedy sweep with every indicator taken one parameter at a time,
+    after the rows ``check_coercive`` rejects are excluded."""
+    excluded, last_selected, order = set(rejected_rows(problem, particles)), {}, []
     while True:
         vals = np.full(len(particles), -np.inf)
         for m, theta in enumerate(particles):
@@ -167,25 +181,35 @@ def reference_sweep(rm, problem, particles, tol, max_basis=500, stagnation_drop=
         if seen and key in last_selected and vals[pick] > (1 - stagnation_drop) * last_selected[key]:
             return order
         last_selected[key] = vals[pick]
-        try:
-            ev = hifi.evaluate(problem, theta)
-        except CoercivityLost:
-            excluded.add(pick)
-            continue
+        ev = hifi.evaluate(problem, theta)
         rm.enrich(problem, ev.u, ev.psi, theta)
         order.append(pick)
 
 
-def test_greedy_sweep_enriches_like_row_loop(case):
-    p, _, _ = case
-    particles = p.prior.sample(np.random.default_rng(5), 16)
+def assert_sweep_like_row_loop(p, particles, tol):
+    """The greedy sweep enriches as the row loop does; returns its skipped rows,
+    which are every row ``check_coercive`` rejects, in order."""
     rm_batch, rm_rows = initialize(p, particles[0]), initialize(p, particles[0])
-    greedy_sweep(rm_batch, p, particles, 1e-4)
-    order = reference_sweep(rm_rows, p, particles, 1e-4)
+    sweep = greedy_sweep(rm_batch, p, particles, tol)
+    order = reference_sweep(rm_rows, p, particles, tol)
     assert len(order) > 2
+    assert sweep.skipped == rejected_rows(p, particles)
     assert np.array_equal(np.array(rm_batch.provenance), np.array(rm_rows.provenance))
     assert [int(np.flatnonzero((particles == q).all(axis=1))[0])
             for q in rm_batch.provenance[1:]] == order
+    return sweep.skipped
+
+
+def test_greedy_sweep_enriches_like_row_loop(case):
+    p, _, _ = case
+    assert_sweep_like_row_loop(p, p.prior.sample(np.random.default_rng(5), 16), 1e-4)
+
+
+@pytest.mark.parametrize("seed, skipped", [(0, [29, 39]), (2, [26, 37, 46, 54]), (3, [53])])
+def test_greedy_sweep_skips_non_coercive_draws_like_row_loop(uniform4_32, seed, skipped):
+    # the sampler's M=64 draws at these seeds hold non-coercive particles
+    particles = draw_prior(uniform4_32.prior, 64, seed)
+    assert assert_sweep_like_row_loop(uniform4_32, particles, 1e-2) == skipped
 
 
 def test_rb_backend_batch_guards_coercivity(uniform4_8):
@@ -204,17 +228,24 @@ def test_rb_backend_batch_guards_coercivity(uniform4_8):
     assert backend.n_evaluations == 1
 
 
+def test_reduced_model_guards_coercivity(uniform4_8):
+    # unguarded, potential at the bad corner gave (1457.6, 3515.1) on this model
+    p = uniform4_8
+    rm = build_small_rb(p, np.random.default_rng(3), 3)
+    bad = -1.7 * np.ones(4)
+    for call in (rm.potential, rm.evaluate):
+        for theta, row in ((bad, 0), (np.array([p.theta_ref, bad]), 1)):
+            with pytest.raises(CoercivityLost) as lost:
+                call(p, theta)
+            assert lost.value.row == row and np.array_equal(lost.value.theta, bad)
+
+
 @pytest.mark.parametrize("method", ["evaluate_batch", "potential_batch"])
 def test_rb_backend_evaluates_coefficients_once_per_batch(case, monkeypatch, method):
     p, rm, thetas = case
-    coeffs = p.eval_coefficients(thetas)
     calls = _count_calls(monkeypatch, type(p), "eval_coefficients")
-    getattr(RBBackend(p, rm), method)(thetas)
+    getattr(RBBackend(p, fresh(rm)), method)(thetas)
     assert calls["n"] == 1
-    # handing the online pass the coefficients changes no bit of its result
-    on_own, shared = rm.evaluate(p, thetas), rm.evaluate(p, thetas, coeffs)
-    for name in ("eta_delta", "grad_eta_delta"):
-        assert np.array_equal(getattr(on_own, name), getattr(shared, name))
 
 
 def one_theta_case(c, dc):

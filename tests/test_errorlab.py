@@ -11,6 +11,7 @@ from svrb.errorlab import (
     error_decay_study,
     kl_bound_estimate,
     kl_terms,
+    rb_sensitivities,
     residual_vectors,
     sample_discrepancy,
     true_errors,
@@ -19,7 +20,7 @@ from svrb.errorlab import (
 from svrb.fem import CoercivityLost
 from svrb.reduced import ReducedModel
 from svrb.svgd import draw_prior
-from svrb.verify import draw_coercive
+from svrb.verify import build_small_rb, draw_coercive
 
 from test_hifi import _count_calls
 
@@ -56,13 +57,40 @@ class TestTrueErrors:
         assert rep.e_delta == pytest.approx(rhs, rel=1e-9, abs=1e-9 * rep.eta_h)
 
 
+def solve_sensitivities_by_lu(rm, problem, theta, u_r, psi_r):
+    """The reduced sensitivities from freshly assembled reduced operators
+    and ``np.linalg.solve``: the reference for the factored path."""
+    cA, cF, dcA, dcF = problem.eval_coefficients(theta)
+    Au, Ap, _, _ = rm._online_operators(cA, cF)
+    dAu, dAp, dfu, _ = rm._online_operators(dcA.T, dcF.T)
+    du = np.linalg.solve(Au, (dfu - dAu @ u_r).T).T
+    rhs_p = -(np.swapaxes(dAp, 1, 2) @ psi_r) - problem.misfit_weighted(du @ rm.Ou) @ rm.Op.T
+    return du, np.linalg.solve(Ap.T, rhs_p.T).T
+
+
+class TestSensitivities:
+    @pytest.mark.parametrize("which", ["uniform4", "gaussian9"])
+    def test_factored_solves_match_lu(self, which, uniform4_16, rb_uniform4_16, gaussian9_9):
+        if which == "uniform4":
+            p, rm = uniform4_16, rb_uniform4_16
+        else:
+            p = gaussian9_9
+            rm = build_small_rb(p, np.random.default_rng(4), 4)
+        for theta in draw_coercive(p, np.random.default_rng(7), 3):
+            ev = rm.evaluate(p, theta)
+            got = rb_sensitivities(rm, p, theta, ev.u_r, ev.psi_r)
+            for x, ref in zip(got, solve_sensitivities_by_lu(rm, p, theta, ev.u_r, ev.psi_r)):
+                assert x.shape == ref.shape == (p.dim, ref.shape[1])
+                assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestResiduals:
     def test_snapshot_state_residual_vanishes(self, uniform4_16, rb_uniform4_16):
         p, rm = uniform4_16, rb_uniform4_16
         theta = rm.provenance[0]
         ev = rm.evaluate(p, theta)
         r_u, _, _, _ = residual_vectors(
-            p, rm, theta, rm.reconstruct(ev.u_r, "state"),
+            p, theta, rm.reconstruct(ev.u_r, "state"),
             rm.reconstruct(ev.psi_r, "adjoint"))
         assert p.dual_norm(r_u) < 1e-9
 
@@ -76,8 +104,7 @@ class TestResiduals:
         p, rm = uniform4_16, rb_uniform4_16
         theta = p.theta_ref
         u_r_full = rm.reconstruct(rm.potential(p, theta)[2], "state")
-        _, r_psi, _, _ = residual_vectors(p, rm, theta, u_r_full,
-                                          np.zeros(p.n_dofs))
+        _, r_psi, _, _ = residual_vectors(p, theta, u_r_full, np.zeros(p.n_dofs))
         misfit = p.obs_matrix @ p.misfit_weighted(p.y - p.observe(u_r_full))
         assert np.allclose(r_psi, -misfit)
 

@@ -14,6 +14,8 @@ from svrb.reduced import ReducedModel
 from svrb.svgd import SVGDConfig, svgd_run
 from svrb.verify import build_small_rb, draw_coercive
 
+from test_hifi import _count_calls
+
 _ARRAYS = ("basis_u", "basis_psi", "Au", "Ap", "Aup", "fu", "fp", "Ou", "Op")
 _EVALUATION = ("u_r", "psi_r", "u_hat", "psi_hat", "eta_r", "delta", "eta_delta",
                "grad_eta_r", "grad_eta_delta")
@@ -99,8 +101,7 @@ class TestHeldPass:
     def test_held_arrays_reject_writes(self, case):
         p, base, thetas = case
         rm = fresh(base)
-        coeffs = p.eval_coefficients(thetas)
-        on = rm._solve_online(p, thetas, coeffs)
+        on = rm._solve_online(p, thetas)
         held = [*on.coeffs] + [getattr(on, name) for name in on._fields
                                if name not in ("coeffs", "solve")]
         eta_r, _, u_r, psi_r = rm.potential(p, thetas)  # the corrected sum is a new array
@@ -113,11 +114,11 @@ class TestHeldPass:
 
 
 class NoReuse(ReducedModel):
-    """Drops the held pass before every online pass, so every call is fresh."""
+    """Drops the held stack and pass before every online pass, so every call is fresh."""
 
-    def _solve_online(self, problem, thetas, coeffs):
-        self._held = None
-        return super()._solve_online(problem, thetas, coeffs)
+    def _solve_online(self, problem, thetas):
+        self._held_stack = self._held_pass = None
+        return super()._solve_online(problem, thetas)
 
 
 def run_record(log):
@@ -169,6 +170,36 @@ class TestSamplerUnchanged:
         assert reused < len(passes)
         assert np.array_equal(ens.particles, ens_ref.particles)
         assert run_record(log) == run_record(log_ref)
+
+
+def test_sampler_guards_each_stack_once(uniform4_8, monkeypatch):
+    """The model evaluates the coefficients of a stack and guards it once: a
+    call on the stack of the call before costs neither, and that covers the
+    line search's reference merit and the evaluation at the accepted trial."""
+    p, cfg = uniform4_8, TestSamplerUnchanged.SVGD
+    backend = RBBackend(p, fresh(build_fixed_rb(p, cfg, 1e-3)[0]))
+    counts = {name: _count_calls(monkeypatch, type(p), name)
+              for name in ("eval_coefficients", "check_coercive")}
+    calls = []
+    for name in ("evaluate_batch", "potential_batch"):
+        def logged(thetas, *args, _method=getattr(backend, name), _name=name):
+            before = [c["n"] for c in counts.values()]
+            try:
+                return _method(thetas, *args)
+            finally:
+                cost = [c["n"] - b for c, b in zip(counts.values(), before)]
+                calls.append((_name, thetas.tobytes(), cost))
+        monkeypatch.setattr(backend, name, logged)
+    _, log = svgd_run(backend, p.prior, cfg)
+    previous = [None] + [stack for _, stack, _ in calls[:-1]]
+    repeated = [stack == prev for (_, stack, _), prev in zip(calls, previous)]
+    for (_, _, cost), again in zip(calls, repeated):
+        assert cost == ([0, 0] if again else [1, 1])
+    kinds = [(name, again) for (name, _, _), again in zip(calls, repeated)]
+    # every reference merit repeats its evaluation's stack, as some
+    # evaluations at the accepted trial's particles do
+    assert kinds.count(("potential_batch", True)) == len(log.records) > 0
+    assert kinds.count(("evaluate_batch", True)) > 0
 
 
 @pytest.fixture(scope="module")

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from svrb import cli, hifi, verify
+from svrb import adaptive, cli, hifi, verify
 from svrb.backends import GaussianBackend, HiFiBackend, RBBackend
 from svrb.cases import StandardGaussian, assemble_problem, uniform4_case
 from svrb.fem import CoercivityLost
 from svrb.reduced import ReducedModel
-from svrb.svgd import SVGDConfig, draw_prior, svgd_run
+from svrb.svgd import SVGDConfig, draw_prior, line_search, svgd_run
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -85,6 +85,36 @@ def test_line_search_spans_match_the_records():
         assert extra["exhausted"] == int(exhausted)
         assert extra["backtracks"] == record.backtracks
         assert extra["trials"] == record.backtracks + (not exhausted)
+
+
+def test_extractors_read_real_return_values():
+    """Each extractor ``--trace 1`` applies reads what its call returns, so a
+    changed return shape fails here and not only under the benchmark."""
+    tracing = _tracing()
+    problem = assemble_problem(uniform4_case(8))
+    particles = np.vstack([verify.draw_coercive(problem, np.random.default_rng(4), 5),
+                           -1.7 * np.ones(4)])  # the last row is not coercive
+    rm = adaptive.initialize(problem, particles[0])
+    args = (rm, problem, particles, 1e-6)
+    sweep = adaptive.greedy_sweep(*args)
+    assert tracing._sweep_out(args, {}, sweep) == {
+        "passes": len(sweep.history), "enriched": sweep.n_enriched, "skipped": 1}
+    assert tracing._model_out(rm) == {"n_state": rm.n_state, "n_adjoint": rm.n_adjoint,
+                                      "provenance": 1 + sweep.n_enriched}
+
+    backend, prior = GaussianBackend(np.array([1.0, -0.5])), StandardGaussian(2)
+    start = np.array([[0.0, 0.0], [0.5, 0.5]])
+    for sign, expected in ((1.0, {"trials": 2, "backtracks": 1, "exhausted": 0}),
+                           (-1.0, {"trials": 3, "backtracks": 3, "exhausted": 1})):
+        args = (start, sign * (backend.mean - start), backend.potential_batch, prior, 2.0, 3)
+        assert tracing._line_search_out(args, {}, line_search(*args)) == expected
+
+    args = (backend, prior, SVGDConfig(n_particles=4, max_steps=3, tol=1e-12, seed=0))
+    ensemble, log = out = svgd_run(*args)
+    extra = tracing._svgd_run_out(args, {}, out)
+    assert np.array_equal(extra.pop("final"), ensemble.particles)
+    assert extra == {"stamps": [r.timestamp for r in log.records], "iterations": 3,
+                     "backend_evaluations": backend.n_evaluations}
 
 
 TINY_RUNS = {

@@ -354,7 +354,7 @@ class TestWarmStart:
                 assert k < cfg.max_backtracks
             # every step is the configured one halved a whole number of times
             assert alpha == cfg.alpha_init * 2.0**-round(np.log2(cfg.alpha_init / alpha))
-            assert log.records[i].alpha == alpha
+            assert log.records[i].alpha == (0.0 if exhausted else alpha)  # stays put
             assert ("line_search_exhausted" in log.records[i].flags) == exhausted
 
     @settings(max_examples=60, deadline=None)
@@ -375,12 +375,13 @@ class TestWarmStart:
         assert np.array_equal(log2.trajectory, log.trajectory)
         assert all(r.backtracks is None for r in log2.records)
 
+    # three trials from 3.0 cannot find a step short enough once the
+    # particles near the mode, so searches exhaust from iteration 2 on
+    EXHAUSTING = SVGDConfig(n_particles=4, max_steps=10, tol=1e-12, alpha_init=3.0,
+                            max_backtracks=3, seed=0)
+
     def test_exhausted_search_restarts_at_alpha_init(self):
-        # three trials from 3.0 cannot find a step short enough once the
-        # particles near the mode, so searches exhaust; a search after one
-        # starts at alpha_init again and can accept a long step
-        cfg = SVGDConfig(n_particles=4, max_steps=10, tol=1e-12, alpha_init=3.0,
-                         max_backtracks=3, seed=0)
+        cfg = self.EXHAUSTING
         backend = GaussianBackend(np.array([1.0, -0.5]))
         _, log, searches = self.traced_run(backend, StandardGaussian(2), cfg)
         self.check_starts(cfg, log, searches)
@@ -388,9 +389,21 @@ class TestWarmStart:
         assert starts[:4] == [3.0, 3.0, 1.5, 3.0]
         assert searches[2][2] and searches[3][2]
         assert [r.backtracks for r in log.records[:4]] == [1, 2, 3, 3]
-        # the step after the exhaustions is longer than twice the exhausted one
-        later = [alpha for _, alpha, exhausted in searches[4:] if not exhausted]
-        assert later and max(later) > 2.0 * searches[3][1]
+
+    def test_merit_never_rises_across_an_exhausted_search(self):
+        # moving by the search's last, unevaluated step raised the mean merit
+        # here: 0.8166 -> 0.8228 -> 0.8324 over iterations 2-4
+        cfg, prior = self.EXHAUSTING, StandardGaussian(2)
+        backend = GaussianBackend(np.array([1.0, -0.5]))
+        _, log = svgd_run(backend, prior, cfg)
+        merits = [np.mean(backend.potential_batch(p) + prior.neglog(p))
+                  for _, p, _ in log.snapshots]
+        exhausted = [i for i, r in enumerate(log.records) if "line_search_exhausted" in r.flags]
+        assert exhausted[:2] == [2, 3]
+        for i in exhausted:
+            assert (log.records[i].alpha, log.records[i].backtracks) == (0.0, cfg.max_backtracks)
+            assert np.array_equal(log.snapshots[i + 1][1], log.snapshots[i][1])
+            assert merits[i + 1] <= merits[i]
 
 
 class TestConfig:
@@ -474,6 +487,16 @@ class TestRun:
         _, log = svgd_run(GaussianBackend(np.zeros(1)), prior, cfg, hook=hook)
         assert [r.eps_r for r in log.records] == [0.5] * 3
         assert [r.n_state for r in log.records] == [1, 2, 3]
+
+    def test_unknown_hook_field_raises(self):
+        # a misspelt field used to stay on the record and miss runlog.jsonl
+        cfg = SVGDConfig(n_particles=4, max_steps=3, tol=1e-9, seed=12)
+
+        def hook(l, ensemble, latest_t, log):
+            return {"n_statee": 1}
+
+        with pytest.raises(TypeError, match="n_statee"):
+            svgd_run(GaussianBackend(np.zeros(1)), StandardGaussian(1), cfg, hook=hook)
 
     @pytest.mark.parametrize("kind", ["hifi", "rb"])
     def test_record_timers_are_per_iteration(self, gaussian9_9, kind):
