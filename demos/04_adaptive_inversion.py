@@ -35,5 +35,5 @@ print(f"posterior mean:            "
 print(f"posterior std:             "
       f"{np.array2string(ensemble.particles.std(axis=0), precision=3)}")
 offline = log.meta["rb_offline_seconds"]
-online = sum(record.timers["rb_online"] for record in log.records)
+online = sum(record.timers["evaluate"] + record.timers["line_search"] for record in log.records)
 print(f"\nsurrogate build time: {offline:.2f}s, online evaluation time: {online:.2f}s")

@@ -108,8 +108,7 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis
         pick = int(np.argmax(vals))  # argmax; ties resolve to the lowest index
         theta = particles[pick]
         key = theta.tobytes()
-        if (key in last_selected and vals[pick] > (1 - STAGNATION_DROP) * last_selected[key]
-                and any(np.array_equal(theta, p) for p in rm.provenance)):
+        if key in last_selected and vals[pick] > (1 - STAGNATION_DROP) * last_selected[key]:
             result.flags.append("stagnation")
             break
         last_selected[key] = vals[pick]
@@ -127,9 +126,10 @@ def run_svrb(problem, svgd_config, adaptive_config, alpha_schedule=None):
     carries that sweep.  Then, every ``update_every`` iterations (never when
     it is ``None``), the tolerance is refreshed from the latest stopping
     indicator and a sweep re-certifies the surrogate on the current
-    particles; that iteration's record carries it.  Returns
-    ``(ensemble, model, runlog)``; ``runlog.meta["rb_offline_seconds"]`` is
-    the time spent seeding the model and in greedy sweeps.
+    particles; that iteration's record carries it (``sweep_passes``,
+    ``sweep_skipped``).  Returns ``(ensemble, model, runlog)``;
+    ``runlog.meta["rb_offline_seconds"]`` is the seeding and initial sweep
+    time plus every record's ``hook`` phase, which holds the later sweeps.
     """
     acfg = adaptive_config
     particles0 = draw_prior(problem.prior, svgd_config.n_particles, svgd_config.seed)
@@ -140,7 +140,7 @@ def run_svrb(problem, svgd_config, adaptive_config, alpha_schedule=None):
     tol = acfg.eps0
 
     def hook(l, ensemble, latest_t, log):
-        nonlocal sweep, tol, offline_seconds
+        nonlocal sweep, tol
         if l == 0:
             n_enriched = 1 + sweep.n_enriched  # the seed snapshot and the initial sweep
         elif acfg.update_every is None or l % acfg.update_every != 0:
@@ -148,19 +148,18 @@ def run_svrb(problem, svgd_config, adaptive_config, alpha_schedule=None):
         else:
             # the normalized rule divides by the indicator of the first iteration
             tol = tolerance_update(acfg, latest_t, log.records[0].t, previous=tol)
-            start = time.perf_counter()
             sweep = greedy_sweep(rm, problem, ensemble.particles, tol, acfg.max_basis)
-            offline_seconds += time.perf_counter() - start
             n_enriched = sweep.n_enriched
         return {"eps_r": tol, "n_state": rm.n_state, "n_adjoint": rm.n_adjoint,
                 "n_enriched": n_enriched, "certified_max_indicator": sweep.max_indicator,
+                "sweep_passes": len(sweep.history), "sweep_skipped": len(sweep.skipped),
                 "flags": sweep.flags}
 
     ensemble, log = svgd_run(
         RBBackend(problem, rm, adaptive=True), problem.prior, svgd_config, hook=hook,
         initial_particles=particles0, alpha_schedule=alpha_schedule,
     )
-    log.meta["rb_offline_seconds"] = offline_seconds
+    log.meta["rb_offline_seconds"] = offline_seconds + sum(r.timers["hook"] for r in log.records)
     return ensemble, rm, log
 
 

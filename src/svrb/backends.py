@@ -9,8 +9,9 @@ the potentials the caller still cares about: a backend whose potentials
 are never negative may return ``np.full(M, np.inf)`` as soon as the rows
 it has evaluated already sum to ``budget`` or more, since the whole sum
 can only be larger.  Any backend may ignore it and evaluate every row.
-``n_evaluations`` counts the rows a backend has evaluated, and
-``timers`` maps a phase name to the seconds the backend has spent in it.
+``n_evaluations`` counts the rows a backend has evaluated and
+``descriptor`` names it.  Backends only compute and count; the sampler
+times its phases itself (:func:`svrb.svgd.svgd_run`).
 
 Three production implementations (high-fidelity, fixed reduced basis,
 adaptive reduced basis -- the last two share :class:`RBBackend`, the
@@ -19,8 +20,6 @@ Gaussian backend for sampler tests.  The reduced and Gaussian backends
 evaluate a stack in one pass; the high-fidelity backend needs one sparse
 factorization per parameter and loops.
 """
-
-import time
 
 import numpy as np
 
@@ -42,20 +41,15 @@ class HiFiBackend:
 
     def __init__(self, problem):
         self.problem = problem
-        self.timers = {"hifi_solve": 0.0}
         self.n_evaluations = 0
 
     def evaluate(self, theta):
-        t0 = time.perf_counter()
         ev = hifi.evaluate(self.problem, theta)
-        self.timers["hifi_solve"] += time.perf_counter() - t0
         self.n_evaluations += 1
         return ev.eta, ev.grad_eta
 
     def potential(self, theta):
-        t0 = time.perf_counter()
         eta, _ = hifi.potential(self.problem, theta)
-        self.timers["hifi_solve"] += time.perf_counter() - t0
         self.n_evaluations += 1
         return eta
 
@@ -79,8 +73,8 @@ class RBBackend:
 
     The same instance serves both the fixed and the adaptive pipeline; the
     adaptive driver enriches ``self.model`` between sweeps.  ``evaluate``
-    and ``potential`` take one parameter or a stack and only time and count
-    the model's online pass, which guards the stack itself.  The batch
+    and ``potential`` take one parameter or a stack and only count the rows
+    of the model's online pass, which guards the stack itself.  The batch
     methods call them on the whole stack, so a wrapper installed on the
     class sees every batch.  The stack is evaluated in one pass, so
     :meth:`potential_batch` ignores its ``budget``; a corrected reduced
@@ -91,14 +85,11 @@ class RBBackend:
         self.problem = problem
         self.model = model
         self.descriptor = "rb-adaptive" if adaptive else "rb-fixed"
-        self.timers = {"rb_online": 0.0}
         self.n_evaluations = 0
 
     def _online(self, method, theta):
-        """Run the model's ``method`` on the stack, timed and counted."""
-        t0 = time.perf_counter()
+        """Run the model's ``method`` on the stack and count its rows."""
         out = method(self.problem, theta)
-        self.timers["rb_online"] += time.perf_counter() - t0
         self.n_evaluations += len(np.atleast_2d(theta))
         return out
 
@@ -123,7 +114,6 @@ class GaussianBackend:
 
     def __init__(self, mean):
         self.mean = np.asarray(mean, dtype=float)
-        self.timers = {}
         self.n_evaluations = 0
 
     def evaluate_batch(self, thetas):

@@ -17,11 +17,13 @@ class IterationRecord:
     n_adjoint: int = None
     n_enriched: int = 0
     certified_max_indicator: float = None
+    sweep_passes: int = None  # indicator passes of the greedy sweep this record carries
+    sweep_skipped: int = None  # particles that sweep skipped as non-coercive
     evaluations: int = None  # backend evaluations: factorizations on hifi, online rows on RB
     backtracks: int = None  # halvings from the line search's start step; None when replayed
     clamped: int = 0
     flags: list = field(default_factory=list)
-    timers: dict = field(default_factory=dict)
+    timers: dict = field(default_factory=dict)  # seconds per phase, see svgd.PHASES
     timestamp: float = field(default_factory=time.time)
 
 

@@ -23,6 +23,7 @@ from .reduced import RBSolveFailed
 from .runlog import IterationRecord, RunLog
 
 _TRIAL_FAILURES = (CoercivityLost, SolveFailed, RBSolveFailed, FloatingPointError)
+PHASES = ("hook", "evaluate", "direction", "line_search", "update")  # of one iteration, in order
 
 
 class NumericalAbort(RuntimeError):
@@ -206,8 +207,11 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
     Each record and the log's meta (``backend``, ``seed``; callers add their
     keys after the run) carry ``evaluations``, the growth of
     ``backend.n_evaluations`` over the iteration and over the run.  Each
-    record's ``timers`` holds the growth of every ``backend.timers`` entry
-    over the iteration and ``svgd_overhead``, the rest of its wall time.
+    record's ``timers`` holds the seconds of its :data:`PHASES`: ``hook``,
+    ``evaluate`` (with the snapshot), ``direction`` (score, bandwidth, kernel,
+    stopping indicator), ``line_search`` and ``update`` (step and clamp),
+    each between two clock stamps; an iteration starts at the stamp where
+    the last one ended, so a run's phases add up to the wall time of its loop.
     """
     if initial_particles is not None:
         particles = np.array(initial_particles, dtype=float)
@@ -224,14 +228,15 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
     start = config.alpha_init  # first trial step of the next line search
     t = 2.0 * config.tol
     l = 0
+    stamps = [time.perf_counter()]
     while l < max_steps and (replay or t > config.tol):
+        stamps = stamps[-1:]
         extra = {}
         if hook is not None:
             extra = hook(l, ensemble, None if l == 0 else t, log) or {}
+        stamps.append(time.perf_counter())
 
-        t0 = time.perf_counter()
         n_evaluations = backend.n_evaluations
-        timers0 = dict(backend.timers)
         try:
             etas, grads = backend.evaluate_batch(ensemble.particles)
         except _TRIAL_FAILURES as exc:
@@ -245,11 +250,13 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
                 f"particle {bad} of iteration {l}"
             )
         log.snapshot(l, ensemble.particles, etas)
+        stamps.append(time.perf_counter())
 
         scores = prior_score(prior, ensemble.particles) - grads
         h = median_bandwidth(ensemble.particles)
         direction = svgd_direction(ensemble.particles, scores, h)
         t = stopping_indicator(direction)
+        stamps.append(time.perf_counter())
 
         flags = []
         backtracks = None
@@ -265,6 +272,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
                 alpha = 0.0
                 flags.append("line_search_exhausted")
             start = config.alpha_init if exhausted else min(config.alpha_init, 2.0 * alpha)
+        stamps.append(time.perf_counter())
 
         updated = ensemble.particles + alpha * direction
         n_clamped = 0
@@ -272,9 +280,9 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
             updated, n_clamped = prior.clamp(updated)
         ensemble.particles = updated
         ensemble.iteration = l + 1
+        stamps.append(time.perf_counter())
 
-        timers = {k: v - timers0.get(k, 0.0) for k, v in backend.timers.items()}
-        timers["svgd_overhead"] = time.perf_counter() - t0 - sum(timers.values())
+        timers = {phase: b - a for phase, a, b in zip(PHASES, stamps, stamps[1:])}
         log.add(IterationRecord(
             l=l, t=t, alpha=alpha, backtracks=backtracks, backend=backend.descriptor,
             evaluations=backend.n_evaluations - n_evaluations,

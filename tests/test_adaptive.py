@@ -84,6 +84,24 @@ class TestGreedySweep:
         assert "basis_cap" in result.flags
         assert rm.n_state <= 4
 
+    def test_stagnation_stops_a_pick_that_does_not_improve(self, uniform4_16, monkeypatch):
+        # an enrichment that only records its parameter leaves every indicator as it was,
+        # so the second pass re-picks the first pick's particle and the sweep must stop
+        p = uniform4_16
+        rm = initialize(p, p.theta_ref)
+
+        def enrich(problem, u, psi, theta):
+            assert len(rm.provenance) < 3, "the sweep went on past a re-picked particle"
+            rm.provenance.append(theta.copy())
+
+        monkeypatch.setattr(rm, "enrich", enrich)
+        particles = draw_coercive(p, np.random.default_rng(4), 8)
+        result = greedy_sweep(rm, p, particles, tol=0.0)
+        assert result.flags == ["stagnation"]
+        assert result.n_enriched == 1
+        assert len(rm.provenance) == 2  # the seed snapshot and the one pick
+        assert len(result.history) == 2 and result.history[0] == result.history[1]
+
 
 class TestToleranceUpdate:
     def setup_method(self):
@@ -196,8 +214,11 @@ class TestRunSVRB:
             assert r.n_enriched == sweep.n_enriched
             assert r.certified_max_indicator == sweep.max_indicator
             assert r.flags == sweep.flags
+        for r, sweep in zip((first, records[3], records[6]), sweeps):
+            assert (r.sweep_passes, r.sweep_skipped) == (len(sweep.history), len(sweep.skipped))
         assert first.eps_r >= records[3].eps_r >= records[6].eps_r
         for r in records:
             if r.l not in (0, 3, 6):
                 assert (r.n_enriched, r.certified_max_indicator, r.flags) == (0, None, [])
+                assert (r.sweep_passes, r.sweep_skipped) == (None, None)
         assert sum(r.n_enriched for r in records) == len(rm.provenance)

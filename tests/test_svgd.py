@@ -1,12 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svrb.backends import GaussianBackend, HiFiBackend, RBBackend
+from svrb.adaptive import AdaptiveConfig, run_svrb
+from svrb.backends import GaussianBackend, HiFiBackend
 from svrb.cases import StandardGaussian, UniformBox
 from svrb.fem import CoercivityLost
-from svrb.verify import build_small_rb
 from svrb.svgd import (
     NumericalAbort,
     SVGDConfig,
@@ -498,20 +500,33 @@ class TestRun:
         with pytest.raises(TypeError, match="n_statee"):
             svgd_run(GaussianBackend(np.zeros(1)), StandardGaussian(1), cfg, hook=hook)
 
-    @pytest.mark.parametrize("kind", ["hifi", "rb"])
-    def test_record_timers_are_per_iteration(self, gaussian9_9, kind):
+    @pytest.mark.parametrize("kind", ["hifi", "rb-adaptive"])
+    def test_record_phases_cover_the_run(self, gaussian9_9, monkeypatch, kind):
+        # the adaptive run's greedy sweeps happen in the hook, outside every backend call
+        import svrb.adaptive
+
+        walls = []
+
+        def timed_run(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = svgd_run(*args, **kwargs)
+            walls.append(time.perf_counter() - t0)
+            return out
+
         p = gaussian9_9
-        backend = (HiFiBackend(p) if kind == "hifi"
-                   else RBBackend(p, build_small_rb(p, np.random.default_rng(3), 3)))
-        cfg = SVGDConfig(n_particles=4, max_steps=3, tol=1e-12, seed=14)
-        _, log = svgd_run(backend, p.prior, cfg)
-        assert len(log.records) == 3
-        for name, total in backend.timers.items():
-            assert total > 0.0
-            assert sum(r.timers[name] for r in log.records) == pytest.approx(total, rel=1e-9)
+        cfg = SVGDConfig(n_particles=8, max_steps=7, tol=1e-12, seed=14, alpha_init=0.05)
+        if kind == "hifi":
+            _, log = timed_run(HiFiBackend(p), p.prior, cfg)
+        else:
+            monkeypatch.setattr(svrb.adaptive, "svgd_run", timed_run)
+            _, _, log = run_svrb(p, cfg, AdaptiveConfig(eps0=1e-3, update_every=3))
+            assert [r.n_enriched > 0 for r in log.records] == [i % 3 == 0 for i in range(7)]
+        assert len(log.records) == 7 and len(walls) == 1
         for r in log.records:
-            assert set(r.timers) == set(backend.timers) | {"svgd_overhead"}
+            assert tuple(r.timers) == ("hook", "evaluate", "direction", "line_search", "update")
             assert all(value >= 0.0 for value in r.timers.values()), r.timers
+        covered = sum(sum(r.timers.values()) for r in log.records)
+        assert covered == pytest.approx(walls[0], rel=0.05)
 
     def test_one_record_per_iteration(self):
         prior = StandardGaussian(2)
