@@ -7,6 +7,7 @@ sampler's own convergence indicator, so the surrogate gets more accurate
 exactly where (and when) the particles concentrate.
 """
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 
@@ -20,6 +21,10 @@ from .svgd import draw_prior, svgd_run
 
 # a reselected snapshot parameter must cut its indicator by this fraction
 STAGNATION_DROP = 0.1
+
+# the parts of a greedy sweep that SweepResult.timers clocks: the indicator
+# passes, the snapshots' high-fidelity solves and the enrichments
+SWEEP_PARTS = ("indicator", "snapshots", "enrich")
 
 
 @dataclass
@@ -51,6 +56,17 @@ class SweepResult:
     history: list = field(default_factory=list)  # max indicator after each pass
     flags: list = field(default_factory=list)
     skipped: list = field(default_factory=list)  # indices of non-coercive particles
+    timers: dict = field(default_factory=lambda: dict.fromkeys(SWEEP_PARTS, 0.0))  # seconds
+
+
+@contextlib.contextmanager
+def _clock(timers, part):
+    """Add the seconds the block takes to ``timers[part]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timers[part] += time.perf_counter() - start
 
 
 def initialize(problem, theta):
@@ -80,7 +96,10 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis
     when the basis cap is reached or when the selected parameter is already
     a snapshot and its indicator refuses to drop (both loudly flagged).
     The particles the online pass's guard rejects are skipped for the sweep
-    before any particle is scored; the model guards the rest once.
+    before any particle is scored; the model guards the rest once, and grows
+    the factors of their operators through each enrichment, so only the
+    first pass factors them.  ``SweepResult.timers`` holds the seconds of
+    the :data:`SWEEP_PARTS`.
     """
     particles = np.atleast_2d(particles)
     result = SweepResult(n_enriched=0, max_indicator=np.inf)
@@ -91,7 +110,8 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis
         vals = np.full(len(particles), -np.inf)
         if live.any():
             try:  # only a new stack is guarded: the first pass, or one after a skip
-                vals[live] = np.abs(rm._solve_online(problem, particles[live]).delta)
+                with _clock(result.timers, "indicator"):
+                    vals[live] = np.abs(rm._solve_online(problem, particles[live]).delta)
             except CoercivityLost as lost:
                 pick = int(np.flatnonzero(live)[lost.row])
                 live[pick] = False
@@ -112,8 +132,10 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis
             result.flags.append("stagnation")
             break
         last_selected[key] = vals[pick]
-        ev = hifi.evaluate(problem, theta)
-        rm.enrich(problem, ev.u, ev.psi, theta)
+        with _clock(result.timers, "snapshots"):
+            ev = hifi.evaluate(problem, theta)
+        with _clock(result.timers, "enrich"):
+            rm.enrich(problem, ev.u, ev.psi, theta)
         result.n_enriched += 1
     return result
 
@@ -127,16 +149,20 @@ def run_svrb(problem, svgd_config, adaptive_config, alpha_schedule=None):
     it is ``None``), the tolerance is refreshed from the latest stopping
     indicator and a sweep re-certifies the surrogate on the current
     particles; that iteration's record carries it (``sweep_passes``,
-    ``sweep_skipped``).  Returns ``(ensemble, model, runlog)``;
-    ``runlog.meta["rb_offline_seconds"]`` is the seeding and initial sweep
-    time plus every record's ``hook`` phase, which holds the later sweeps.
+    ``sweep_skipped``, and ``sweep_timers``, its :data:`SWEEP_PARTS`).
+    Returns ``(ensemble, model, runlog)``.  ``runlog.meta["timers"]`` holds
+    the seconds before the sampler loop, ``initialize`` (the seed snapshot)
+    and ``initial_sweep``, so they and the records' phases add up to the
+    run's wall time; ``runlog.meta["rb_offline_seconds"]`` is those two plus
+    every record's ``hook`` phase, which holds the later sweeps.
     """
     acfg = adaptive_config
     particles0 = draw_prior(problem.prior, svgd_config.n_particles, svgd_config.seed)
     start = time.perf_counter()
     rm = initialize(problem, particles0[0])
+    seeded = time.perf_counter()
     sweep = greedy_sweep(rm, problem, particles0, acfg.eps0, acfg.max_basis)
-    offline_seconds = time.perf_counter() - start
+    timers = {"initialize": seeded - start, "initial_sweep": time.perf_counter() - seeded}
     tol = acfg.eps0
 
     def hook(l, ensemble, latest_t, log):
@@ -153,13 +179,14 @@ def run_svrb(problem, svgd_config, adaptive_config, alpha_schedule=None):
         return {"eps_r": tol, "n_state": rm.n_state, "n_adjoint": rm.n_adjoint,
                 "n_enriched": n_enriched, "certified_max_indicator": sweep.max_indicator,
                 "sweep_passes": len(sweep.history), "sweep_skipped": len(sweep.skipped),
-                "flags": sweep.flags}
+                "sweep_timers": sweep.timers, "flags": sweep.flags}
 
     ensemble, log = svgd_run(
         RBBackend(problem, rm, adaptive=True), problem.prior, svgd_config, hook=hook,
         initial_particles=particles0, alpha_schedule=alpha_schedule,
     )
-    log.meta["rb_offline_seconds"] = offline_seconds + sum(r.timers["hook"] for r in log.records)
+    log.meta["timers"] = timers
+    log.meta["rb_offline_seconds"] = sum(timers.values()) + sum(r.timers["hook"] for r in log.records)
     return ensemble, rm, log
 
 

@@ -126,6 +126,7 @@ def cmd_analyze(run_dirs):
         cfg = ExperimentConfig.from_json(cfg_path)
         log = _read_run_file(RunLog.read_jsonl, os.path.join(rundir, "runlog.jsonl"))
         log.write_history_csv(os.path.join(rundir, "history.csv"))
+        log.write_phases_csv(os.path.join(rundir, "phases.csv"))
 
         particles, final_l = _read_run_file(_read_final_particles,
                                             os.path.join(rundir, "particles.csv"))

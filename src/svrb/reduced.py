@@ -8,40 +8,59 @@ evaluation -- reduced state, reduced adjoint, the dual-weighted residual,
 the corrected potential, incremental solves, and both gradients -- costs
 work independent of the high-fidelity dimension.
 
-One online pass over a stack of parameters (the particles) assembles the
-reduced operators once and yields the reduced states, their weighted
-observation misfits, the reduced adjoints, the plain potentials and the
-dual-weighted residuals.  Each reduced operator is the Galerkin projection
-of a coercive operator, so it is symmetric positive definite: the pass
-factors the state and the adjoint operator of every row once, by Cholesky
-in place, and every solve with that operator reuses the factor.
-:meth:`ReducedModel.potential` and the greedy indicator read the pass as it
-is; :meth:`ReducedModel.evaluate` adds the two incremental solves and both
-gradients.  A single parameter is a stack of one.
+One online pass over a stack of parameters (the particles) yields the
+reduced states, their weighted observation misfits, the reduced adjoints,
+the plain potentials and the dual-weighted residuals.  Each reduced operator
+is the Galerkin projection of a coercive operator, so it is symmetric
+positive definite: the pass holds one upper Cholesky factor per row of the
+stack for the state and for the adjoint operator, and every solve with that
+operator reuses it (LAPACK ``dpptrs``, one right-hand side or a block of
+them per row).  :meth:`ReducedModel.potential` and the greedy indicator read
+the pass as it is; :meth:`ReducedModel.evaluate` adds the two incremental
+solves and both gradients.  A single parameter is a stack of one.
+
+The factors live in one workspace per model, in LAPACK upper-packed
+storage: row m's factor is the leading ``N(N+1)/2`` entries of its own row
+of the workspace, column after column, so one more basis vector appends
+entries and moves none.  A new stack's operators are assembled straight
+into that storage, with one product of the coefficient rows and the packed
+blocks, and factored there by ``dpptrf``.  When the basis grows while a
+stack is held, ``_append`` extends each of its factors by the new column as
+``dpptrf`` itself computes a column: the operator column ``a``, the solve
+``U^T l = a[:k]`` (``dtpsv``) and the pivot ``sqrt(a_k - l.l)``; the next
+pass on that stack factors nothing and only recomputes the loads, the
+solves and the dual-weighted residual.  A pivot that is not positive drops
+the grown factors, and the next pass refactors in full and raises as a
+fresh one would.  Every change of the factors bumps the workspace's
+generation, and a solver of an earlier pass raises instead of reading the
+new factors.
 
 The pass evaluates the affine coefficients and, as the high-fidelity model
 does, refuses a non-coercive row (:class:`~svrb.fem.CoercivityLost`).  The
 model holds the last guarded stack and its pass, read-only, and hands them
 out again when the same problem object asks for a bitwise-equal stack; a
-basis growth drops the pass but keeps the stack, so a greedy sweep guards
-its particles once.  The sampler asks for one stack several times in a row:
-the line search's reference merit at the particles just evaluated, the next
-evaluation at the accepted trial's particles (when clamping left them
-unchanged), and the first evaluation after a greedy sweep at the particles
-of its last indicator pass; none of these builds a new pass.
+basis growth drops the pass but keeps the stack and grows its factors, so
+a greedy sweep guards its particles once and factors their operators once.
+The sampler asks for one stack several times in a row: the line search's
+reference merit at the particles just evaluated, the next evaluation at the
+accepted trial's particles (when clamping left them unchanged), and the
+first evaluation after a greedy sweep at the particles of its last
+indicator pass; none of these builds a new pass.
 
 Conventions: reduced matrices follow the Galerkin layout ``B[m, n] =
 A(basis_n, basis_m)``; the cross block maps state coefficients to adjoint
 test functions, ``C[m, n] = A(state_n, adjoint_m)``.
 """
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 
 class RBSolveFailed(RuntimeError):
@@ -59,6 +78,12 @@ _ARRAYS = ("basis_u", "basis_psi", "Au", "Ap", "Aup", "fu", "fp", "Ou", "Op")
 # fraction of its norm is already in the span and is not appended
 DEFLATION_TOL = 1e-10
 
+# the factor workspace has room for this many more basis columns than it
+# was sized for: a few, because numpy backs an array of 4 MiB or more with
+# huge pages, which the unused ends of rows sized for twice the order fill
+# (chains-u4 peak_rss_mb read +8 to +11 MB with such rows)
+SPARE_ORDER = 8
+
 
 def problem_fingerprint(problem):
     """What a stored reduced model must match to be used with ``problem``:
@@ -74,7 +99,7 @@ class _Online(NamedTuple):
     each has a leading particle axis."""
 
     coeffs: tuple         # (cA, cF, dcA, dcF) from ``eval_coefficients``
-    solve: tuple          # solvers with the state and the adjoint operator (_factor)
+    solve: tuple          # solvers with the state and the adjoint operator (_Factors)
     fp: np.ndarray        # (M, N_p) reduced load tested with the adjoint basis
     u_r: np.ndarray       # (M, N_u)
     psi_r: np.ndarray     # (M, N_p)
@@ -91,6 +116,110 @@ def _stack(theta):
 
 def _unstack(x, single):
     return x[0] if single else x
+
+
+@functools.lru_cache(maxsize=4)  # the orders of the last few passes
+def _packed_index(n):
+    """Flat indices into a C-ordered symmetric ``(n, n)`` matrix of its upper
+    triangle in LAPACK packed order: column j's rows 0..j, column by column
+    (read as row j's columns 0..j, the same values)."""
+    j, i = np.tril_indices(n)
+    index = j * n + i
+    index.flags.writeable = False
+    return index
+
+
+class _Factors:
+    """Upper Cholesky factors of the held stack's state (system 0) and
+    adjoint (system 1) operators, in one workspace kept by the model.
+
+    Row m's factor of system s is ``buf[s][m, :n(n+1)/2]`` in LAPACK packed
+    storage, column after column, so a factor of order n + 1 extends the one
+    of order n in place.  ``order`` is the pair of orders held, None when no
+    factors are.  ``generation`` counts every change of the factors; a solver
+    handed out before a change raises instead of reading them.
+    """
+
+    def __init__(self):
+        self.buf = [np.empty((0, 0)), np.empty((0, 0))]
+        self.rows = 0
+        self.order = None
+        self.generation = 0
+
+    def drop(self):
+        self.order = None
+        self.generation += 1
+
+    def _reserve(self, s, rows, n, keep=0):
+        """Room in system ``s`` for ``rows`` factors of order ``n``, keeping
+        the first ``keep`` entries of every held row."""
+        have_rows, have = self.buf[s].shape
+        if rows <= have_rows and n * (n + 1) // 2 <= have:
+            return
+        cap = n + SPARE_ORDER  # the order it can grow to before the next copy
+        buf = np.empty((max(rows, have_rows), max(cap * (cap + 1) // 2, have)))
+        buf[:self.rows, :keep] = self.buf[s][:self.rows, :keep]
+        self.buf[s] = buf
+
+    def factor(self, cA, blocks):
+        """Assemble, for the coefficient rows ``cA`` ``(M, J_A)``, the
+        operators of both systems from their blocks ``(J_A, n, n)`` straight
+        into packed storage, and factor every row in place."""
+        self.drop()
+        for s, (what, B) in enumerate(zip(("state", "adjoint"), blocks)):
+            n = B.shape[-1]
+            if n == 0:
+                raise RBSolveFailed(f"{what}: reduced basis is empty")
+            self._reserve(s, len(cA), n)
+            rows = self.buf[s][:len(cA), :n * (n + 1) // 2]
+            np.matmul(cA, B.reshape(len(B), -1)[:, _packed_index(n)], out=rows)
+            # arguments by position (lower=0, overwrite=1): at small n,
+            # parsing keywords costs a third of each call
+            for m, ap in enumerate(rows):
+                info = lapack.dpptrf(n, ap, 0, 1)[1]
+                if info:
+                    raise RBSolveFailed(f"{what}: reduced operator of row {m} is not positive "
+                                        f"definite (LAPACK dpptrf info {info})")
+        self.rows, self.order = len(cA), tuple(B.shape[-1] for B in blocks)
+
+    def grow(self, s, cA, column):
+        """Extend system ``s``'s factors of order k by the operators' new
+        column, the coefficient rows ``cA`` times the blocks' new column
+        ``(J_A, k + 1)``, as ``dpptrf`` computes column k: ``l`` solves
+        ``U^T l = a[:k]`` and the new pivot is ``sqrt(a[k] - l.l)``.  Factors of
+        another order, or a pivot that is not positive, are dropped: the next
+        pass refactors in full."""
+        k = column.shape[1] - 1
+        if self.order is None or self.order[s] != k:
+            self.drop()
+            return
+        self.generation += 1
+        start = k * (k + 1) // 2
+        self._reserve(s, self.rows, k + 1, keep=start)
+        rows = self.buf[s][:self.rows]
+        np.matmul(cA, column, out=rows[:, start:start + k + 1])
+        for ap in rows:
+            blas.dtpsv(k, ap, ap, 1, start, 0, 1, 0, 1)  # offx=start, trans=1, in place
+            pivot = ap[start + k] - blas.ddot(ap, ap, k, start, 1, start, 1)
+            if not pivot > 0.0:
+                self.drop()
+                return
+            ap[start + k] = math.sqrt(pivot)
+        self.order = tuple(k + 1 if t == s else n for t, n in enumerate(self.order))
+
+    def solver(self, s):
+        """``b -> x`` with ``A[m] x[m].T = b[m].T`` for every row m of system
+        ``s``, on a copy of ``b``; ``b[m]`` is ``(n,)`` or ``(k, n)``."""
+        n, count, generation = self.order[s], self.rows, self.generation
+
+        def solve(b):
+            if self.generation != generation:
+                raise RuntimeError("solver of a dropped online pass: its factors have changed")
+            x = np.array(b, dtype=float)
+            for ap, xm in zip(self.buf[s][:count, :n * (n + 1) // 2], x):
+                lapack.dpptrs(n, ap, xm.T, 0, 1)  # a block's transpose is Fortran-ordered
+            return x
+        return solve
 
 
 @dataclass
@@ -127,6 +256,7 @@ class ReducedModel:
         self.fingerprint = None     # problem_fingerprint of the problem it was built for
         self._held_stack = None     # (problem, key, coefficients) of the last guarded stack
         self._held_pass = None      # the _Online of that stack on the current bases
+        self._factors = _Factors()  # the Cholesky factors of that stack's operators
 
     # -- construction ----------------------------------------------------
 
@@ -195,7 +325,8 @@ class ReducedModel:
         ``A(v, old_m) = A(old_m, v)``: the products ``A_j v`` of all blocks,
         formed once as the columns of one matrix, fill both the new row and
         the new column with one matrix product, and the cross block with
-        another.
+        another.  The factors of the held stack's operators of this basis
+        gain the new row and column too (:meth:`_Factors.grow`).
         """
         self._held_pass = None  # a pass on the old bases is stale; its guarded stack is not
         state = which == "state"
@@ -207,6 +338,8 @@ class ReducedModel:
         own[:, :k, :k] = self.Au if state else self.Ap
         own[:, :k, k] = own[:, k, :k] = (old.T @ Av).T
         own[:, k, k] = v @ Av
+        if self._held_stack is not None:  # its factors gain the new row and column
+            self._factors.grow(0 if state else 1, self._held_stack[2][0], own[:, k])
         cross = (other.T @ Av).T
         grown = (
             np.column_stack([old, v]),
@@ -225,13 +358,14 @@ class ReducedModel:
     #
     # Every public method below takes one parameter ``(d,)`` or a stack
     # ``(M, d)`` and returns per-row results with the same leading shape.
-    # Reduced operators are built for the whole stack at once and factored
-    # once per pass; the cross block is only ever applied term by term, so
-    # no ``(M, N_p, N_u)`` array is formed.
+    # Reduced operators are assembled for the whole stack at once, in packed
+    # storage, and factored once per stack; the cross block is only ever
+    # applied term by term, so no ``(M, N_p, N_u)`` array is formed.
 
     def _online_operators(self, cA, cF):
-        """Reduced state and adjoint operators and loads, the affine sums
-        over coefficient rows ``cA``, ``cF``."""
+        """Reduced state and adjoint operators, dense, and loads, the affine
+        sums over coefficient rows ``cA``, ``cF``; for the operators'
+        parameter derivatives (the online pass assembles its operators packed)."""
         Au = np.tensordot(cA, self.Au, axes=1)
         Ap = np.tensordot(cA, self.Ap, axes=1)
         return Au, Ap, cF @ self.fu, cF @ self.fp
@@ -247,30 +381,6 @@ class ReducedModel:
         """``left[m] @ blocks[j] @ right[m]`` for every row m and term j."""
         return np.einsum("mk,mjk->mj", left, np.tensordot(right, blocks, axes=([1], [2])))
 
-    @staticmethod
-    def _factor(A, what):
-        """Cholesky-factor every row of the symmetric positive definite stack
-        ``A`` ``(M, N, N)`` in place: row m read in Fortran order is its own
-        transpose, which LAPACK overwrites.  Returns the solver ``b -> x`` with
-        ``A[m] x[m].T = b[m].T`` for every row, in place; ``b[m]`` is ``(N,)`` or ``(k, N)``."""
-        if A.shape[-1] == 0:
-            raise RBSolveFailed(f"{what}: reduced basis is empty")
-        rows = np.swapaxes(np.ascontiguousarray(A), 1, 2)  # Fortran-ordered views
-        # arguments by position (lower=0, clean=0, overwrite=1): at small N,
-        # parsing keywords costs a third of each call
-        for m, row in enumerate(rows):
-            info = lapack.dpotrf(row, 0, 0, 1)[1]
-            if info:
-                raise RBSolveFailed(f"{what}: reduced operator of row {m} is not positive "
-                                    f"definite (LAPACK dpotrf info {info})")
-
-        def solve(b):
-            x = np.array(b, dtype=float)
-            for row, xm in zip(rows, x):
-                lapack.dpotrs(row, xm.T, 0, 1)  # a block's transpose is Fortran-ordered
-            return x
-        return solve
-
     def dwr(self, problem, theta, u_r, psi_r, coeffs=None):
         """Dual-weighted residual: state residual tested with the adjoint."""
         thetas, single = _stack(theta)
@@ -282,25 +392,31 @@ class ReducedModel:
 
     def _solve_online(self, problem, thetas):
         """The one online pass over the stack ``thetas``: coefficients and
-        coercivity guard, operators, reduced state, weighted misfit, reduced
-        adjoint, plain potential and dual-weighted residual, behind
-        :meth:`potential`, :meth:`evaluate` and the greedy indicator.  Asked
-        again by the same ``problem`` object for a stack with the same bytes,
-        it returns the held pass, or builds one on the held coefficients after
-        a basis growth.  Its arrays are read-only."""
+        coercivity guard, factored operators (kept through a basis growth,
+        whose new column ``_append`` adds to the factors), reduced state,
+        weighted misfit, reduced adjoint, plain potential and dual-weighted
+        residual, behind :meth:`potential`, :meth:`evaluate` and the greedy
+        indicator.  Asked again by the same ``problem`` object for a stack
+        with the same bytes, it returns the held pass, or builds one on the
+        held coefficients and factors after a basis growth.  Its arrays are
+        read-only."""
         key = (thetas.dtype.str, thetas.shape, thetas.tobytes())
         held = self._held_stack
         if held is None or held[0] is not problem or held[1] != key:
-            self._held_stack = self._held_pass = None  # freed before the new pass is built
+            self._held_stack = self._held_pass = None
+            self._factors.drop()  # they are the old stack's
             coeffs = problem.eval_coefficients(thetas)
             problem.check_coercive(thetas, coeffs)
             self._held_stack = (problem, key, coeffs)
         elif self._held_pass is not None:
             return self._held_pass
         coeffs = self._held_stack[2]
-        Au, Ap, fu, fp = self._online_operators(coeffs[0], coeffs[1])
-        solve = self._factor(Au, "state"), self._factor(Ap, "adjoint")
-        u_r = solve[0](fu)
+        cA, cF = coeffs[:2]
+        if self._factors.order != (self.n_state, self.n_adjoint):  # else grown by _append
+            self._factors.factor(cA, (self.Au, self.Ap))
+        solve = self._factors.solver(0), self._factors.solver(1)
+        fp = cF @ self.fp
+        u_r = solve[0](cF @ self.fu)
         residual = problem.y - u_r @ self.Ou
         misfit = problem.misfit_weighted(residual)
         psi_r = solve[1](misfit @ self.Op.T)  # A_p is its own transpose

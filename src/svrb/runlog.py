@@ -19,6 +19,7 @@ class IterationRecord:
     certified_max_indicator: float = None
     sweep_passes: int = None  # indicator passes of the greedy sweep this record carries
     sweep_skipped: int = None  # particles that sweep skipped as non-coercive
+    sweep_timers: dict = None  # seconds of that sweep's parts, see adaptive.SWEEP_PARTS
     evaluations: int = None  # backend evaluations: factorizations on hifi, online rows on RB
     backtracks: int = None  # halvings from the line search's start step; None when replayed
     clamped: int = 0
@@ -87,6 +88,27 @@ class RunLog:
                     vals = [repr(float(v)) for v in row]
                     e = "" if eta is None else repr(float(eta[m]))
                     writer.writerow([l, m] + vals + [e])
+
+    def write_phases_csv(self, path):
+        """Where the run's time went: one row per phase with its seconds and
+        its share of the total, first the pre-loop ``meta["timers"]`` (the
+        reduced-basis runs' seeding and initial sweep), then the records'
+        phases summed over iterations, then ``total``; last, the greedy
+        sweeps' parts summed over the records' ``sweep_timers``, which lie
+        within ``initial_sweep`` and ``hook``."""
+        rows = dict(self.meta.get("timers", {}))
+        for rec in self.records:
+            for phase, seconds in rec.timers.items():
+                rows[phase] = rows.get(phase, 0.0) + seconds
+        rows["total"] = total = sum(rows.values())
+        for rec in self.records:
+            for part, seconds in (rec.sweep_timers or {}).items():
+                rows[f"sweep_{part}"] = rows.get(f"sweep_{part}", 0.0) + seconds
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["phase", "seconds", "share"])
+            for phase, seconds in rows.items():
+                writer.writerow([phase, repr(seconds), repr(seconds / total) if total else ""])
 
     def write_history_csv(self, path):
         cols = ["l", "t", "alpha", "eps_r", "n_state", "n_adjoint", "n_enriched", "clamped",

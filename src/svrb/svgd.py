@@ -5,11 +5,12 @@ particle along a sample-averaged direction combining score-weighted
 attraction and kernel-gradient repulsion.  The kernel bandwidth follows
 the median heuristic, the step size comes from a backtracking line search
 on the sample-average potential that starts at twice the last accepted
-step, and the iteration stops when the largest particle update drops below
-a tolerance.  Each iteration hands the backend the whole particle stack
-once for potentials and gradients, and once per line-search trial for
-potentials, together with the sum of potentials beyond which the trial is
-rejected for certain.
+step (or, after a search that found none, at its untried step), and the
+iteration stops when the largest particle update drops below a tolerance.
+Each iteration hands the backend the whole particle stack once for
+potentials and gradients, and once per line-search trial for potentials,
+together with the sum of potentials beyond which the trial is rejected for
+certain.
 """
 
 import math
@@ -139,7 +140,8 @@ def line_search(particles, direction, potential_fn, prior, alpha_init=1.0,
     that returned.  Trial ``k`` (from 0) steps ``alpha_init * 2**-k``, so an
     accepted step is ``alpha_init`` halved ``log2(alpha_init / alpha)`` times;
     an exhausted search returns its untried next step ``alpha_init *
-    2**-max_backtracks``, which :func:`svgd_run` does not take.
+    2**-max_backtracks``, which :func:`svgd_run` does not take but starts
+    the next search at.
 
     A trial is accepted iff ``mean(eta + neglog) < base``, that is iff
     ``sum(eta) < M * base - sum(neglog)``; the prior terms are computed
@@ -199,9 +201,12 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
     run -- this pins matched trajectories for discrepancy studies.
     Otherwise each line search starts at ``min(alpha_init, 2 * alpha)``, with
     ``alpha`` the step the previous search accepted, so it seldom relearns
-    the scale of the last step; the first search, and the first after an
-    exhausted one, start at ``alpha_init``.  Every step is thus
-    ``alpha_init * 2**-k``, or 0 when no trial lowered the merit.  Each
+    the scale of the last step.  The first search starts at ``alpha_init``;
+    a search after an exhausted one starts at that search's untried step,
+    its start halved ``max_backtracks`` times, so it tries no step the
+    exhausted one rejected at the same particles, and the doubling grows the
+    step back once one is accepted.  Every step is thus ``alpha_init *
+    2**-k``, or 0 when no trial lowered the merit.  Each
     record's ``backtracks`` is the number of halvings from its search's
     start (``max_backtracks`` when exhausted, ``None`` when replayed).
     Each record and the log's meta (``backend``, ``seed``; callers add their
@@ -267,11 +272,12 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
                 ensemble.particles, direction, backend.potential_batch, prior,
                 start, config.max_backtracks,
             )
-            backtracks = round(math.log2(start / alpha))
             if exhausted:  # no trial lowered the merit, so the particles stay put
-                alpha = 0.0
+                backtracks, start, alpha = config.max_backtracks, alpha, 0.0
                 flags.append("line_search_exhausted")
-            start = config.alpha_init if exhausted else min(config.alpha_init, 2.0 * alpha)
+            else:
+                backtracks = round(math.log2(start / alpha))
+                start = min(config.alpha_init, 2.0 * alpha)
         stamps.append(time.perf_counter())
 
         updated = ensemble.particles + alpha * direction

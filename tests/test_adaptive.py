@@ -6,6 +6,7 @@ import pytest
 
 from svrb import hifi
 from svrb.adaptive import (
+    SWEEP_PARTS,
     AdaptiveConfig,
     build_fixed_rb,
     greedy_sweep,
@@ -189,6 +190,26 @@ class TestRunSVRB:
         scfg = SVGDConfig(n_particles=4, max_steps=1, tol=1e-12, seed=1, alpha_init=0.05)
         _, _, log = run_svrb(uniform4_8, scfg, AdaptiveConfig(eps0=0.1, update_every=None))
         assert log.meta["rb_offline_seconds"] >= delay
+
+    def test_pre_loop_and_phases_add_up_to_the_wall_time(self, uniform4_8):
+        scfg = SVGDConfig(n_particles=16, max_steps=7, tol=1e-12, seed=1, alpha_init=0.05)
+        acfg = AdaptiveConfig(eps0=0.01, update_every=3)
+        start = time.perf_counter()
+        _, _, log = run_svrb(uniform4_8, scfg, acfg)
+        wall = time.perf_counter() - start
+        pre_loop = log.meta["timers"]
+        assert list(pre_loop) == ["initialize", "initial_sweep"]
+        accounted = sum(pre_loop.values()) + sum(sum(r.timers.values()) for r in log.records)
+        assert abs(wall - accounted) <= 0.05 * wall
+        assert log.meta["rb_offline_seconds"] == pytest.approx(
+            sum(pre_loop.values()) + sum(r.timers["hook"] for r in log.records))
+        # each sweep's parts lie within the time that holds the sweep
+        carried = [r for r in log.records if r.sweep_timers is not None]
+        assert [r.l for r in carried] == [0, 3, 6]
+        for rec, holder in zip(carried, [pre_loop["initial_sweep"]]
+                               + [r.timers["hook"] for r in carried[1:]]):
+            assert list(rec.sweep_timers) == list(SWEEP_PARTS)
+            assert 0.0 < sum(rec.sweep_timers.values()) <= holder
 
     def test_records_carry_each_sweep_once(self, uniform4_8, monkeypatch):
         import svrb.adaptive

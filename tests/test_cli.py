@@ -240,7 +240,7 @@ class TestRun:
         keys = {"backend", "seed", "config", "dofs", "dofs_raw", "sigma", "noise_seed",
                 "evaluations"}
         if backend["kind"] == "rb-adaptive":
-            keys.add("rb_offline_seconds")
+            keys |= {"rb_offline_seconds", "timers"}  # timers: the pre-loop seconds
         assert set(meta) == keys
         assert meta["config"] == ExperimentConfig.from_json(cfg).to_dict()
         assert meta["backend"] == backend["kind"]
@@ -559,6 +559,16 @@ class TestAnalyze:
         assert main(["analyze", str(out)]) == 0
         assert (out / "history.csv").read_bytes() == written  # rebuilt from runlog.jsonl
         assert (out / "scatter.csv").is_file()
+        with open(out / "phases.csv") as fh:
+            phases = {r["phase"]: (float(r["seconds"]), float(r["share"]))
+                      for r in csv.DictReader(fh)}
+        from svrb.adaptive import SWEEP_PARTS
+        from svrb.svgd import PHASES
+
+        loop = ["initialize", "initial_sweep", *PHASES]
+        assert list(phases) == loop + ["total"] + [f"sweep_{part}" for part in SWEEP_PARTS]
+        assert phases["total"][0] == pytest.approx(sum(phases[p][0] for p in loop))
+        assert phases["total"][1] == 1.0
         with open(out / "decay.csv") as fh:
             rows = list(csv.DictReader(fh))
         from svrb.reduced import ReducedModel

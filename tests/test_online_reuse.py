@@ -1,5 +1,7 @@
 """The reduced model hands out its last online pass again for the same
-problem and a bitwise-equal parameter stack, and that reuse changes no result."""
+problem and a bitwise-equal parameter stack, and that reuse changes no result;
+it grows the factors of its held stack through each enrichment, and a grown
+pass agrees with a fresh one to rounding."""
 
 import dataclasses
 
@@ -7,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svrb import adaptive, hifi
-from svrb.adaptive import AdaptiveConfig, build_fixed_rb, run_svrb
+from svrb import adaptive, hifi, reduced
+from svrb.adaptive import AdaptiveConfig, build_fixed_rb, greedy_sweep, run_svrb
 from svrb.backends import RBBackend
-from svrb.reduced import ReducedModel
+from svrb.reduced import RBSolveFailed, ReducedModel
 from svrb.svgd import SVGDConfig, svgd_run
 from svrb.verify import build_small_rb, draw_coercive
 
@@ -42,6 +44,33 @@ def count_passes(rm):
 def assert_same_evaluation(a, b):
     for name in _EVALUATION:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+# a grown factor is a fresh one up to rounding: each field of a pass on grown
+# factors is within this fraction of the field's largest magnitude of a fresh pass
+GROWN_RTOL = 1e-12
+
+
+def assert_close(got, ref):
+    assert np.abs(got - ref).max(initial=0.0) <= GROWN_RTOL * np.abs(ref).max(initial=0.0)
+
+
+def assert_close_evaluation(a, b):
+    for name in _EVALUATION:
+        assert_close(getattr(a, name), getattr(b, name))
+
+
+def count_factorizations(monkeypatch):
+    """Count the full factorizations of operator stacks, over every model."""
+    calls = []
+    factor = reduced._Factors.factor
+
+    def counting(self, *args):
+        calls.append(1)
+        return factor(self, *args)
+
+    monkeypatch.setattr(reduced._Factors, "factor", counting)
+    return calls
 
 
 @pytest.fixture(scope="module", params=["uniform4", "gaussian9"])
@@ -76,17 +105,19 @@ class TestHeldPass:
             assert_same_evaluation(rm.evaluate(p, stack), fresh(base).evaluate(p, stack))
         assert len(passes) == 5
 
-    def test_enrich_drops_the_held_pass(self, case):
+    def test_enrich_grows_the_held_pass(self, case, monkeypatch):
         p, base, thetas = case
         rm = fresh(base)
         rm.potential(p, thetas)
         theta = draw_coercive(p, np.random.default_rng(9), 1)[0]
         ev = hifi.evaluate(p, theta)
+        factorizations = count_factorizations(monkeypatch)
         assert rm.enrich(p, ev.u, ev.psi, theta) == (True, True)
         passes = count_passes(rm)
         after = rm.evaluate(p, thetas)
         assert len(passes) == 1 and after.u_r.shape[1] == base.n_state + 1
-        assert_same_evaluation(after, fresh(rm).evaluate(p, thetas))
+        assert not factorizations  # the held factors gained a row and a column
+        assert_close_evaluation(after, fresh(rm).evaluate(p, thetas))
 
     def test_other_problem_object_misses(self, case):
         p, base, thetas = case
@@ -122,7 +153,7 @@ class NoReuse(ReducedModel):
 
 
 def run_record(log):
-    return [{k: v for k, v in vars(r).items() if k not in ("timers", "timestamp")}
+    return [{k: v for k, v in vars(r).items() if k not in ("timers", "sweep_timers", "timestamp")}
             for r in log.records]
 
 
@@ -220,16 +251,103 @@ class TestInterleaved:
            ops=st.lists(st.tuples(st.sampled_from(["potential", "evaluate", "enrich"]),
                                   st.integers(0, 5)), min_size=1, max_size=12))
     def test_every_call_matches_a_fresh_model(self, interleaved, seed, ops):
+        """Bitwise until the first enrichment, then to rounding: a pass on
+        the held stack may read factors grown by the enrichments."""
         p, base, stacks = interleaved
+        rng = np.random.default_rng(seed)
+        rm = fresh(base)
+        enriched = False
+        for op, k in ops:
+            if op == "enrich":
+                rm.enrich(p, rng.normal(size=p.n_dofs), rng.normal(size=p.n_dofs), stacks[0][0])
+                enriched = True
+            elif op == "potential":
+                for got, ref in zip(rm.potential(p, stacks[k]),
+                                    fresh(rm).potential(p, stacks[k])):
+                    if enriched:
+                        assert_close(got, ref)
+                    else:
+                        assert np.array_equal(got, ref)
+            else:
+                (assert_close_evaluation if enriched else assert_same_evaluation)(
+                    rm.evaluate(p, stacks[k]), fresh(rm).evaluate(p, stacks[k]))
+
+
+class TestGrownFactors:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.tuples(st.sampled_from(["enrich", "potential", "evaluate"]),
+                                  st.integers(0, 3)), min_size=1, max_size=10))
+    def test_grown_pass_matches_a_fresh_pass(self, case, seed, ops):
+        """High-fidelity snapshots interleaved with passes on the held stack
+        and on other stacks: every field of every pass, grown or not, agrees
+        with a fresh model's pass to 1e-12 of its largest magnitude."""
+        p, base, thetas = case
+        moved = thetas.copy()
+        moved[2] += 1e-3
+        stacks = [thetas, thetas[::-1], thetas[:3], moved]
         rng = np.random.default_rng(seed)
         rm = fresh(base)
         for op, k in ops:
             if op == "enrich":
-                rm.enrich(p, rng.normal(size=p.n_dofs), rng.normal(size=p.n_dofs), stacks[0][0])
+                theta = draw_coercive(p, rng, 1)[0]
+                ev = hifi.evaluate(p, theta)
+                held = rm._factors.order is not None
+                added = rm.enrich(p, ev.u, ev.psi, theta)
+                if held and all(added):  # the held factors grew; none were dropped
+                    assert rm._factors.order == (rm.n_state, rm.n_adjoint)
             elif op == "potential":
-                for got, ref in zip(rm.potential(p, stacks[k]),
-                                    fresh(rm).potential(p, stacks[k])):
-                    assert np.array_equal(got, ref)
+                for got, ref in zip(rm.potential(p, stacks[k]), fresh(rm).potential(p, stacks[k])):
+                    assert_close(got, ref)
             else:
-                assert_same_evaluation(rm.evaluate(p, stacks[k]),
-                                       fresh(rm).evaluate(p, stacks[k]))
+                assert_close_evaluation(rm.evaluate(p, stacks[k]),
+                                        fresh(rm).evaluate(p, stacks[k]))
+
+    def test_sweep_factors_only_its_first_pass(self, uniform4_8, monkeypatch):
+        p = uniform4_8
+        rng = np.random.default_rng(4)
+        rm = fresh(build_small_rb(p, rng, 1))
+        particles = draw_coercive(p, rng, 12)
+        factorizations = count_factorizations(monkeypatch)
+        sweep = greedy_sweep(rm, p, particles, tol=1e-6, max_basis=8)
+        assert sweep.n_enriched >= 3 and not sweep.skipped
+        assert len(sweep.history) == sweep.n_enriched + 1
+        assert len(factorizations) == 1
+
+    def test_pivot_that_is_not_positive_drops_the_factors(self, case, monkeypatch):
+        """A grown pivot ``d^2 <= 0`` drops the held factors; the next pass
+        refactors in full and fails as a fresh model's pass does."""
+        p, base, thetas = case
+        rm = fresh(base)
+        rm.potential(p, thetas)
+        theta = draw_coercive(p, np.random.default_rng(9), 1)[0]
+        ev = hifi.evaluate(p, theta)
+        products = p.block_products
+        # the new state column of every block negated: its diagonal entry is negative
+        monkeypatch.setattr(p, "block_products", lambda x: -products(x))
+        rm._append(p, rm._orthogonalize(p, ev.u, rm.basis_u), "state")
+        monkeypatch.undo()
+        assert rm._factors.order is None
+        factorizations = count_factorizations(monkeypatch)
+        with pytest.raises(RBSolveFailed, match="state: .*not positive definite") as grown:
+            rm.potential(p, thetas)
+        assert len(factorizations) == 1
+        with pytest.raises(RBSolveFailed) as direct:
+            fresh(rm).potential(p, thetas)
+        assert str(grown.value) == str(direct.value)
+
+    def test_solver_of_a_dropped_pass_raises(self, case):
+        p, base, thetas = case
+        rm = fresh(base)
+        rhs = np.ones((len(thetas), rm.n_state))
+        solve = rm._solve_online(p, thetas).solve[0]
+        assert np.array_equal(solve(rhs), rm._solve_online(p, thetas).solve[0](rhs))
+        rm.potential(p, thetas[::-1])  # another stack refills the workspace
+        with pytest.raises(RuntimeError, match="dropped online pass"):
+            solve(rhs)
+        solve = rm._solve_online(p, thetas).solve[0]
+        theta = draw_coercive(p, np.random.default_rng(9), 1)[0]
+        ev = hifi.evaluate(p, theta)
+        rm.enrich(p, ev.u, ev.psi, theta)  # an enrichment grows the factors
+        with pytest.raises(RuntimeError, match="dropped online pass"):
+            solve(rhs)

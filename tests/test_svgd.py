@@ -319,19 +319,19 @@ class TestEarlyRejection:
 
 class TestWarmStart:
     """Each line search starts at twice the last accepted step, capped at
-    ``alpha_init``; the first search and the first after an exhausted one
-    start at ``alpha_init``."""
+    ``alpha_init``; the first search starts at ``alpha_init``, and one after
+    an exhausted search at that search's untried step."""
 
     @staticmethod
     def traced_run(backend, prior, cfg):
-        """The run plus ``(start, alpha, exhausted)`` of every line search."""
+        """The run plus ``(start, alpha, exhausted, particles)`` of every line search."""
         import svrb.svgd
 
         searches = []
 
         def traced(*args, **kwargs):
             out = line_search(*args, **kwargs)
-            searches.append((args[4], out[0], out[1]))
+            searches.append((args[4], out[0], out[1], args[0].tobytes()))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
@@ -342,9 +342,11 @@ class TestWarmStart:
     @staticmethod
     def check_starts(cfg, log, searches):
         assert len(searches) == len(log.records) > 0
-        for i, (start, alpha, exhausted) in enumerate(searches):
-            if i == 0 or searches[i - 1][2]:
+        for i, (start, alpha, exhausted, _) in enumerate(searches):
+            if i == 0:
                 assert start == cfg.alpha_init
+            elif searches[i - 1][2]:  # the untried step of the exhausted search
+                assert start == searches[i - 1][1]
             else:
                 assert start == min(cfg.alpha_init, 2.0 * searches[i - 1][1])
             assert start <= cfg.alpha_init
@@ -382,15 +384,49 @@ class TestWarmStart:
     EXHAUSTING = SVGDConfig(n_particles=4, max_steps=10, tol=1e-12, alpha_init=3.0,
                             max_backtracks=3, seed=0)
 
-    def test_exhausted_search_restarts_at_alpha_init(self):
+    # steps from 16.0 overshoot the mode, so the first search exhausts; a
+    # search restarted at 16.0 exhausted again in every iteration
+    OVERSHOOTING = SVGDConfig(n_particles=4, max_steps=10, tol=1e-12, alpha_init=16.0,
+                              max_backtracks=2, seed=0)
+
+    @staticmethod
+    def assert_no_repeated_trial(searches):
+        """No search tries a step that an earlier search rejected at the same particles."""
+        rejected = {}
+        for start, alpha, exhausted, particles in searches:
+            tried = []
+            step = start
+            while step > alpha:
+                tried.append(step)
+                step *= 0.5
+            if not exhausted:
+                tried.append(alpha)
+            assert not rejected.get(particles, set()).intersection(tried)
+            rejected.setdefault(particles, set()).update(tried if exhausted else tried[:-1])
+
+    def test_exhausted_search_restarts_at_its_untried_step(self):
         cfg = self.EXHAUSTING
         backend = GaussianBackend(np.array([1.0, -0.5]))
         _, log, searches = self.traced_run(backend, StandardGaussian(2), cfg)
         self.check_starts(cfg, log, searches)
-        starts = [start for start, _, _ in searches]
-        assert starts[:4] == [3.0, 3.0, 1.5, 3.0]
+        starts = [start for start, _, _, _ in searches]
+        assert starts[:4] == [3.0, 3.0, 1.5, 1.5 * 2.0**-3]
         assert searches[2][2] and searches[3][2]
         assert [r.backtracks for r in log.records[:4]] == [1, 2, 3, 3]
+        self.assert_no_repeated_trial(searches)
+
+    def test_merit_falls_after_the_first_exhausted_search(self):
+        cfg, prior = self.OVERSHOOTING, StandardGaussian(2)
+        backend = GaussianBackend(np.array([1.0, -0.5]))
+        _, log, searches = self.traced_run(backend, prior, cfg)
+        self.check_starts(cfg, log, searches)
+        self.assert_no_repeated_trial(searches)
+        merits = [np.mean(backend.potential_batch(p) + prior.neglog(p))
+                  for _, p, _ in log.snapshots]
+        assert searches[0][2]  # 16.0 and 8.0 overshoot
+        assert searches[1][0] == 16.0 * 2.0**-2 and not searches[1][2]
+        assert merits[2] < merits[1] == merits[0]
+        assert merits[-1] < merits[2]
 
     def test_merit_never_rises_across_an_exhausted_search(self):
         # moving by the search's last, unevaluated step raised the mean merit
