@@ -17,8 +17,8 @@ times the sampler's pattern instead: ``evaluate`` right after an untimed
 incremental solves and the gradients.  ``indicator_pass_after_enrich``
 times the greedy sweep's pattern: on a copy of the model whose held stack
 had an untimed indicator pass, one enrichment (a fixed high-fidelity
-snapshot, which grows the held factors by a row and a column) followed by
-one indicator pass on that stack.
+snapshot) followed by one indicator pass on that stack, which grows the held
+factors by a row and a column.
 
 ``extra_info`` records the basis sizes and the stack size, ``hifi_solves=0``
 (no timed call solves a high-fidelity system) and ``minor_faults``, the

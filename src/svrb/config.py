@@ -129,6 +129,9 @@ def _load_custom_case(path):
     case = module.build_case()  # an error raised in there is the module's own and surfaces
     if not isinstance(case, CaseConfig):
         raise ConfigError(f"build_case() of {path} returned {case!r}, not a CaseConfig")
+    if getattr(case.prior, "dim", None) is None:  # every run samples its particles from it
+        raise ConfigError(f"build_case() of {path} returned a case whose prior "
+                          f"{case.prior!r} has no dim to sample particles from")
     return case
 
 

@@ -133,18 +133,6 @@ def bound_constants(problem, theta):
     )
 
 
-def rb_sensitivities(rm, problem, theta, u_r, psi_r):
-    """Reduced parameter sensitivities of the state and adjoint coefficients
-    at one parameter, solved with the factors of the model's online pass."""
-    on = rm._solve_online(problem, np.atleast_2d(np.asarray(theta, dtype=float)))
-    # the derivative operators are the same affine sums over the coefficient gradients
-    dAu, dAp, dfu, _ = rm._online_operators(on.coeffs[2][0].T, on.coeffs[3][0].T)
-    # one block of right-hand sides per system, one per parameter direction
-    du = on.solve[0]((dfu - dAu @ u_r)[None])[0]
-    rhs_p = -(np.swapaxes(dAp, 1, 2) @ psi_r) - problem.misfit_weighted(du @ rm.Ou) @ rm.Op.T
-    return du, on.solve[1](rhs_p[None])[0]  # A_p is its own transpose
-
-
 def residual_vectors(problem, theta, u_r_full, psi_r_full, du_r_full=None, dpsi_r_full=None):
     """Full-space residual functionals of the reduced solutions.
 
@@ -193,7 +181,7 @@ def true_errors(problem, rm, theta):
     h = hifi.evaluate(problem, theta, op)
     ev, u_r, psi_r, e_u, e_psi = compare(problem, rm, theta, h.u, h.psi)
     du_h, dpsi_h = hifi.solve_sensitivities(problem, op, h.u, h.psi)
-    du_r, dpsi_r = rb_sensitivities(rm, problem, theta, ev.u_r, ev.psi_r)
+    du_r, dpsi_r = rm.sensitivities(problem, theta, ev.u_r, ev.psi_r)
     du_r_full = rm.reconstruct(du_r, "state")
     dpsi_r_full = rm.reconstruct(dpsi_r, "adjoint")
     # True derivative of the plain reduced potential (chain rule through

@@ -19,29 +19,27 @@ them per row).  :meth:`ReducedModel.potential` and the greedy indicator read
 the pass as it is; :meth:`ReducedModel.evaluate` adds the two incremental
 solves and both gradients.  A single parameter is a stack of one.
 
-The factors live in one workspace per model, in LAPACK upper-packed
-storage: row m's factor is the leading ``N(N+1)/2`` entries of its own row
-of the workspace, column after column, so one more basis vector appends
-entries and moves none.  A new stack's operators are assembled straight
-into that storage, with one product of the coefficient rows and the packed
-blocks, and factored there by ``dpptrf``.  When the basis grows while a
-stack is held, ``_append`` extends each of its factors by the new column as
-``dpptrf`` itself computes a column: the operator column ``a``, the solve
-``U^T l = a[:k]`` (``dtpsv``) and the pivot ``sqrt(a_k - l.l)``; the next
-pass on that stack factors nothing and only recomputes the loads, the
-solves and the dual-weighted residual.  A pivot that is not positive drops
-the grown factors, and the next pass refactors in full and raises as a
-fresh one would.  Every change of the factors bumps the workspace's
-generation, and a solver of an earlier pass raises instead of reading the
-new factors.
+Each system (state, adjoint) keeps its factors in its own workspace, in
+LAPACK upper-packed storage: row m's factor is the leading ``N(N+1)/2``
+entries of its row, column after column, so one more basis vector appends
+entries and moves none.  The pass brings them up to date
+(:meth:`_Factors.fit`): a new stack's operators are assembled straight into
+that storage, with one product of the coefficient rows and the packed
+blocks, and factored by ``dpptrf``.  An enrichment only drops the held pass;
+the next pass on the held stack extends each factor by the new columns as
+``dpptrf`` computes a column (the operator column ``a``, ``U^T l = a[:k]``
+by ``dtpsv``, the pivot ``sqrt(a_k - l.l)``) and factors nothing afresh.  A
+pivot that is not positive refactors that system in full, which raises as
+a fresh pass would.  No solver outlives its call, so none reads factors
+that a later pass changed.
 
 The pass evaluates the affine coefficients and, as the high-fidelity model
 does, refuses a non-coercive row (:class:`~svrb.fem.CoercivityLost`).  The
 model holds the last guarded stack and its pass, read-only, and hands them
 out again when the same problem object asks for a bitwise-equal stack; a
-basis growth drops the pass but keeps the stack and grows its factors, so
-a greedy sweep guards its particles once and factors their operators once.
-The sampler asks for one stack several times in a row: the line search's
+basis growth drops the pass but keeps the stack and its factors, so a greedy
+sweep guards its particles once and factors their operators once.  The
+sampler asks for one stack several times in a row: the line search's
 reference merit at the particles just evaluated, the next evaluation at the
 accepted trial's particles (when clamping left them unchanged), and the
 first evaluation after a greedy sweep at the particles of its last
@@ -71,8 +69,11 @@ class RBSolveFailed(RuntimeError):
 # the fill-reducing dof numbering of problem assembly
 ARTIFACT_SCHEMA = 2
 
-# the bases and reduced blocks, in constructor and ``rb.npz`` order
-_ARRAYS = ("basis_u", "basis_psi", "Au", "Ap", "Aup", "fu", "fp", "Ou", "Op")
+# the bases and reduced blocks, in constructor and ``rb.npz`` order, and their
+# shapes: fingerprint sizes, N_u and N_p basis vectors, s observations
+_ARRAYS = {"basis_u": ("n_dofs", "N_u"), "basis_psi": ("n_dofs", "N_p"),
+           "Au": ("J_A", "N_u", "N_u"), "Ap": ("J_A", "N_p", "N_p"), "Aup": ("J_A", "N_p", "N_u"),
+           "fu": ("J_F", "N_u"), "fp": ("J_F", "N_p"), "Ou": ("N_u", "s"), "Op": ("N_p", "s")}
 
 # a snapshot whose remainder after orthogonalization has at most this
 # fraction of its norm is already in the span and is not appended
@@ -99,7 +100,6 @@ class _Online(NamedTuple):
     each has a leading particle axis."""
 
     coeffs: tuple         # (cA, cF, dcA, dcF) from ``eval_coefficients``
-    solve: tuple          # solvers with the state and the adjoint operator (_Factors)
     fp: np.ndarray        # (M, N_p) reduced load tested with the adjoint basis
     u_r: np.ndarray       # (M, N_u)
     psi_r: np.ndarray     # (M, N_p)
@@ -130,96 +130,87 @@ def _packed_index(n):
 
 
 class _Factors:
-    """Upper Cholesky factors of the held stack's state (system 0) and
-    adjoint (system 1) operators, in one workspace kept by the model.
+    """Upper Cholesky factors of one reduced system's operators (``what``:
+    state or adjoint), one per row of the held stack, in one workspace.
 
-    Row m's factor of system s is ``buf[s][m, :n(n+1)/2]`` in LAPACK packed
-    storage, column after column, so a factor of order n + 1 extends the one
-    of order n in place.  ``order`` is the pair of orders held, None when no
-    factors are.  ``generation`` counts every change of the factors; a solver
-    handed out before a change raises instead of reading them.
+    Row m's factor is ``buf[m, :n(n+1)/2]`` in LAPACK packed storage, column
+    after column, so a factor of order n + 1 extends the one of order n in
+    place.  ``order`` is the order held, 0 when no factors are.
     """
 
-    def __init__(self):
-        self.buf = [np.empty((0, 0)), np.empty((0, 0))]
+    def __init__(self, what):
+        self.what = what
+        self.buf = np.empty((0, 0))
         self.rows = 0
-        self.order = None
-        self.generation = 0
+        self.order = 0
 
-    def drop(self):
-        self.order = None
-        self.generation += 1
-
-    def _reserve(self, s, rows, n, keep=0):
-        """Room in system ``s`` for ``rows`` factors of order ``n``, keeping
-        the first ``keep`` entries of every held row."""
-        have_rows, have = self.buf[s].shape
+    def _reserve(self, rows, n, keep=0):
+        """Room for ``rows`` factors of order ``n``, keeping the first
+        ``keep`` entries of every held row."""
+        have_rows, have = self.buf.shape
         if rows <= have_rows and n * (n + 1) // 2 <= have:
             return
         cap = n + SPARE_ORDER  # the order it can grow to before the next copy
         buf = np.empty((max(rows, have_rows), max(cap * (cap + 1) // 2, have)))
-        buf[:self.rows, :keep] = self.buf[s][:self.rows, :keep]
-        self.buf[s] = buf
+        buf[:self.rows, :keep] = self.buf[:self.rows, :keep]
+        self.buf = buf
 
-    def factor(self, cA, blocks):
-        """Assemble, for the coefficient rows ``cA`` ``(M, J_A)``, the
-        operators of both systems from their blocks ``(J_A, n, n)`` straight
-        into packed storage, and factor every row in place."""
-        self.drop()
-        for s, (what, B) in enumerate(zip(("state", "adjoint"), blocks)):
-            n = B.shape[-1]
-            if n == 0:
-                raise RBSolveFailed(f"{what}: reduced basis is empty")
-            self._reserve(s, len(cA), n)
-            rows = self.buf[s][:len(cA), :n * (n + 1) // 2]
-            np.matmul(cA, B.reshape(len(B), -1)[:, _packed_index(n)], out=rows)
-            # arguments by position (lower=0, overwrite=1): at small n,
-            # parsing keywords costs a third of each call
-            for m, ap in enumerate(rows):
-                info = lapack.dpptrf(n, ap, 0, 1)[1]
-                if info:
-                    raise RBSolveFailed(f"{what}: reduced operator of row {m} is not positive "
-                                        f"definite (LAPACK dpptrf info {info})")
-        self.rows, self.order = len(cA), tuple(B.shape[-1] for B in blocks)
+    def fit(self, cA, B):
+        """Bring the factors up to date with the operators of the coefficient
+        rows ``cA`` ``(M, J_A)`` and the blocks ``B`` ``(J_A, n, n)``.
 
-    def grow(self, s, cA, column):
-        """Extend system ``s``'s factors of order k by the operators' new
-        column, the coefficient rows ``cA`` times the blocks' new column
-        ``(J_A, k + 1)``, as ``dpptrf`` computes column k: ``l`` solves
-        ``U^T l = a[:k]`` and the new pivot is ``sqrt(a[k] - l.l)``.  Factors of
-        another order, or a pivot that is not positive, are dropped: the next
-        pass refactors in full."""
-        k = column.shape[1] - 1
-        if self.order is None or self.order[s] != k:
-            self.drop()
-            return
-        self.generation += 1
+        Factors held at a lower order grow column by column, as ``dpptrf``
+        computes column k from the operators' column ``a = cA @ B[:, k, :k+1]``:
+        ``l`` solves ``U^T l = a[:k]`` (``dtpsv``) and the new pivot is
+        ``sqrt(a[k] - l.l)``.  With no factors held, or after a pivot that is
+        not positive, the operators are assembled straight into packed
+        storage, with one product of ``cA`` and the packed blocks, and
+        factored in place; that raises as any fresh factorization would.
+        """
+        n = B.shape[-1]
+        if n == 0:
+            raise RBSolveFailed(f"{self.what}: reduced basis is empty")
+        if 0 < self.order < n:
+            self._reserve(self.rows, n, keep=self.order * (self.order + 1) // 2)
+            while 0 < self.order < n:
+                self._grow(cA, B[:, self.order, :self.order + 1])
+        if self.order != n:
+            self._factor(cA, B)
+
+    def _grow(self, cA, column):
+        k, self.order = self.order, 0  # held again once every row has its pivot
         start = k * (k + 1) // 2
-        self._reserve(s, self.rows, k + 1, keep=start)
-        rows = self.buf[s][:self.rows]
+        rows = self.buf[:self.rows]
         np.matmul(cA, column, out=rows[:, start:start + k + 1])
+        # arguments by position: at small n, parsing keywords costs a third of each call
         for ap in rows:
             blas.dtpsv(k, ap, ap, 1, start, 0, 1, 0, 1)  # offx=start, trans=1, in place
             pivot = ap[start + k] - blas.ddot(ap, ap, k, start, 1, start, 1)
             if not pivot > 0.0:
-                self.drop()
                 return
             ap[start + k] = math.sqrt(pivot)
-        self.order = tuple(k + 1 if t == s else n for t, n in enumerate(self.order))
+        self.order = k + 1
 
-    def solver(self, s):
-        """``b -> x`` with ``A[m] x[m].T = b[m].T`` for every row m of system
-        ``s``, on a copy of ``b``; ``b[m]`` is ``(n,)`` or ``(k, n)``."""
-        n, count, generation = self.order[s], self.rows, self.generation
+    def _factor(self, cA, B):
+        n, self.order = B.shape[-1], 0
+        self._reserve(len(cA), n)
+        rows = self.buf[:len(cA), :n * (n + 1) // 2]
+        np.matmul(cA, B.reshape(len(B), -1)[:, _packed_index(n)], out=rows)
+        for m, ap in enumerate(rows):
+            info = lapack.dpptrf(n, ap, 0, 1)[1]  # lower=0, overwrite=1
+            if info:
+                raise RBSolveFailed(f"{self.what}: reduced operator of row {m} is not positive "
+                                    f"definite (LAPACK dpptrf info {info})")
+        self.rows, self.order = len(cA), n
 
-        def solve(b):
-            if self.generation != generation:
-                raise RuntimeError("solver of a dropped online pass: its factors have changed")
-            x = np.array(b, dtype=float)
-            for ap, xm in zip(self.buf[s][:count, :n * (n + 1) // 2], x):
-                lapack.dpptrs(n, ap, xm.T, 0, 1)  # a block's transpose is Fortran-ordered
-            return x
-        return solve
+    def solve(self, b):
+        """``x`` with ``A[m] x[m].T = b[m].T`` for every held row m, on a copy
+        of ``b``; ``b[m]`` is ``(n,)`` or ``(k, n)``, one per held factor."""
+        n = self.order
+        x = np.array(b, dtype=float)
+        for ap, xm in zip(self.buf[:self.rows, :n * (n + 1) // 2], x, strict=True):
+            lapack.dpptrs(n, ap, xm.T, 0, 1)  # a block's transpose is Fortran-ordered
+        return x
 
 
 @dataclass
@@ -252,22 +243,22 @@ class ReducedModel:
         self.Ou = Ou                # (N_u, s)
         self.Op = Op                # (N_p, s)
         self.provenance = provenance
-        self.deflated = []          # (which, theta) for skipped snapshots
         self.fingerprint = None     # problem_fingerprint of the problem it was built for
         self._held_stack = None     # (problem, key, coefficients) of the last guarded stack
         self._held_pass = None      # the _Online of that stack on the current bases
-        self._factors = _Factors()  # the Cholesky factors of that stack's operators
+        # the Cholesky factors of that stack's state and adjoint operators
+        self._factors = (_Factors("state"), _Factors("adjoint"))
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def empty(cls, problem):
         """Model with zero-size bases, ready for enrichment."""
-        n, ja, jf, s = problem.n_dofs, problem.n_diffusion_terms, problem.n_load_terms, problem.n_obs
-        shapes = dict(basis_u=(n, 0), basis_psi=(n, 0), Au=(ja, 0, 0), Ap=(ja, 0, 0),
-                      Aup=(ja, 0, 0), fu=(jf, 0), fp=(jf, 0), Ou=(0, s), Op=(0, s))
-        rm = cls(**{name: np.zeros(shape) for name, shape in shapes.items()}, provenance=[])
-        rm.fingerprint = problem_fingerprint(problem)
+        fingerprint = problem_fingerprint(problem)
+        sizes = dict(fingerprint, N_u=0, N_p=0, s=problem.n_obs)
+        rm = cls(**{name: np.zeros([sizes[d] for d in dims]) for name, dims in _ARRAYS.items()},
+                 provenance=[])
+        rm.fingerprint = fingerprint
         return rm
 
     @property
@@ -307,9 +298,7 @@ class ReducedModel:
         for which, snapshot in (("state", u_h), ("adjoint", psi_h)):
             v = self._orthogonalize(problem, snapshot,
                                     self.basis_u if which == "state" else self.basis_psi)
-            if v is None:
-                self.deflated.append((which, theta))
-            else:
+            if v is not None:
                 self._append(problem, v, which)
             added.append(v is not None)
         self.provenance.append(theta.copy())
@@ -325,8 +314,7 @@ class ReducedModel:
         ``A(v, old_m) = A(old_m, v)``: the products ``A_j v`` of all blocks,
         formed once as the columns of one matrix, fill both the new row and
         the new column with one matrix product, and the cross block with
-        another.  The factors of the held stack's operators of this basis
-        gain the new row and column too (:meth:`_Factors.grow`).
+        another.  The next pass on the held stack grows its factors.
         """
         self._held_pass = None  # a pass on the old bases is stale; its guarded stack is not
         state = which == "state"
@@ -338,8 +326,6 @@ class ReducedModel:
         own[:, :k, :k] = self.Au if state else self.Ap
         own[:, :k, k] = own[:, k, :k] = (old.T @ Av).T
         own[:, k, k] = v @ Av
-        if self._held_stack is not None:  # its factors gain the new row and column
-            self._factors.grow(0 if state else 1, self._held_stack[2][0], own[:, k])
         cross = (other.T @ Av).T
         grown = (
             np.column_stack([old, v]),
@@ -361,14 +347,6 @@ class ReducedModel:
     # Reduced operators are assembled for the whole stack at once, in packed
     # storage, and factored once per stack; the cross block is only ever
     # applied term by term, so no ``(M, N_p, N_u)`` array is formed.
-
-    def _online_operators(self, cA, cF):
-        """Reduced state and adjoint operators, dense, and loads, the affine
-        sums over coefficient rows ``cA``, ``cF``; for the operators'
-        parameter derivatives (the online pass assembles its operators packed)."""
-        Au = np.tensordot(cA, self.Au, axes=1)
-        Ap = np.tensordot(cA, self.Ap, axes=1)
-        return Au, Ap, cF @ self.fu, cF @ self.fp
 
     @staticmethod
     def _apply(cA, blocks, x, transpose=False):
@@ -392,19 +370,20 @@ class ReducedModel:
 
     def _solve_online(self, problem, thetas):
         """The one online pass over the stack ``thetas``: coefficients and
-        coercivity guard, factored operators (kept through a basis growth,
-        whose new column ``_append`` adds to the factors), reduced state,
-        weighted misfit, reduced adjoint, plain potential and dual-weighted
-        residual, behind :meth:`potential`, :meth:`evaluate` and the greedy
-        indicator.  Asked again by the same ``problem`` object for a stack
-        with the same bytes, it returns the held pass, or builds one on the
-        held coefficients and factors after a basis growth.  Its arrays are
-        read-only."""
+        coercivity guard, factored operators, reduced state, weighted misfit,
+        reduced adjoint, plain potential and dual-weighted residual, behind
+        :meth:`potential`, :meth:`evaluate`, :meth:`sensitivities` and the
+        greedy indicator.  Asked again by the same ``problem`` object for a
+        stack with the same bytes, it returns the held pass, or builds one on
+        the held coefficients after a basis growth, whose new columns it adds
+        to the held factors.  Its arrays are read-only; ``self._factors``
+        solve with its operators until the next pass."""
         key = (thetas.dtype.str, thetas.shape, thetas.tobytes())
         held = self._held_stack
         if held is None or held[0] is not problem or held[1] != key:
             self._held_stack = self._held_pass = None
-            self._factors.drop()  # they are the old stack's
+            for factors in self._factors:  # they are the old stack's
+                factors.order = 0
             coeffs = problem.eval_coefficients(thetas)
             problem.check_coercive(thetas, coeffs)
             self._held_stack = (problem, key, coeffs)
@@ -412,17 +391,17 @@ class ReducedModel:
             return self._held_pass
         coeffs = self._held_stack[2]
         cA, cF = coeffs[:2]
-        if self._factors.order != (self.n_state, self.n_adjoint):  # else grown by _append
-            self._factors.factor(cA, (self.Au, self.Ap))
-        solve = self._factors.solver(0), self._factors.solver(1)
+        state, adjoint = self._factors
+        state.fit(cA, self.Au)
+        adjoint.fit(cA, self.Ap)
         fp = cF @ self.fp
-        u_r = solve[0](cF @ self.fu)
+        u_r = state.solve(cF @ self.fu)
         residual = problem.y - u_r @ self.Ou
         misfit = problem.misfit_weighted(residual)
-        psi_r = solve[1](misfit @ self.Op.T)  # A_p is its own transpose
+        psi_r = adjoint.solve(misfit @ self.Op.T)  # A_p is its own transpose
         eta_r = 0.5 * np.einsum("ms,ms->m", residual, misfit)
         delta = self.dwr(problem, thetas, u_r, psi_r, coeffs)
-        on = _Online(coeffs, solve, fp, u_r, psi_r, misfit, eta_r, delta)
+        on = _Online(coeffs, fp, u_r, psi_r, misfit, eta_r, delta)
         for array in (*coeffs, fp, u_r, psi_r, misfit, eta_r, delta):
             array.flags.writeable = False
         self._held_pass = on
@@ -447,15 +426,15 @@ class ReducedModel:
         thetas, single = _stack(theta)
         on = self._solve_online(problem, thetas)
         u_r, psi_r = on.u_r, on.psi_r
-        solve_u, solve_p = on.solve
+        state, adjoint = self._factors
         cA, _, dcA, dcF = on.coeffs
-        psi_hat = solve_p(on.fp - self._apply(cA, self.Aup, u_r))
+        psi_hat = adjoint.solve(on.fp - self._apply(cA, self.Aup, u_r))
         rhs = (
             -self._apply(cA, self.Aup, psi_r, transpose=True)
             + on.misfit @ self.Ou.T
             - problem.misfit_weighted(psi_hat @ self.Op) @ self.Ou.T
         )
-        u_hat = solve_u(rhs)  # A_u is its own transpose
+        u_hat = state.solve(rhs)  # A_u is its own transpose
 
         def chain(dc, terms):  # sum over terms of coefficient gradient times term
             return np.einsum("mjd,mj->md", dc, terms)
@@ -467,6 +446,22 @@ class ReducedModel:
                       eta_r=on.eta_r, delta=on.delta, eta_delta=on.eta_r + on.delta,
                       grad_eta_r=grad_r, grad_eta_delta=grad_delta)
         return RBEvaluation(**{k: _unstack(v, single) for k, v in fields.items()})
+
+    def sensitivities(self, problem, theta, u_r, psi_r):
+        """Parameter sensitivities of the reduced state ``u_r`` and adjoint
+        ``psi_r`` at one parameter, ``(d, N_u)`` and ``(d, N_p)``, the reduced
+        counterpart of :func:`svrb.hifi.solve_sensitivities`: one block of
+        right-hand sides per system, one per parameter direction, solved with
+        the factors of the online pass at ``theta``."""
+        on = self._solve_online(problem, np.atleast_2d(np.asarray(theta, dtype=float)))
+        # the derivative operators are the same affine sums over the coefficient
+        # gradients, one direction per row, applied to one row broadcast over them
+        dcA, dcF = on.coeffs[2][0].T, on.coeffs[3][0].T  # (d, J_A), (d, J_F)
+        state, adjoint = self._factors
+        du = state.solve((dcF @ self.fu - self._apply(dcA, self.Au, u_r[None]))[None])[0]
+        rhs_p = (-self._apply(dcA, self.Ap, psi_r[None], transpose=True)
+                 - problem.misfit_weighted(du @ self.Ou) @ self.Op.T)
+        return du, adjoint.solve(rhs_p[None])[0]  # A_p is its own transpose
 
     def reconstruct(self, coeffs, which="state"):
         """Lift reduced coefficients ``(N_r,)``, or one row each ``(M, N_r)``,
@@ -506,10 +501,20 @@ class ReducedModel:
 
     @classmethod
     def load(cls, path):
-        """Read a ``.npz`` artifact; its ``fingerprint`` is None if it has none."""
+        """Read a ``.npz`` artifact; its ``fingerprint`` is None if it has none.
+        Raises ``ValueError`` when the arrays' shapes disagree with each other
+        or with the fingerprint's sizes."""
         data = np.load(path, allow_pickle=False)
-        meta = json.loads(str(data["meta"]))
+        fingerprint = json.loads(str(data["meta"])).get("problem")
+        arrays = {name: data[name] for name in _ARRAYS}
+        sizes = dict(fingerprint or {})  # N_u, N_p and s are read off their first array
+        for name, dims in _ARRAYS.items():
+            shape = arrays[name].shape
+            if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n
+                                               for d, n in zip(dims, shape)):
+                raise ValueError(f"{path}: {name} has shape {shape}, not "
+                                 f"{tuple(sizes.get(d, d) for d in dims)}")
         prov = [row.copy() for row in data["provenance"]] if data["provenance"].size else []
-        rm = cls(**{name: data[name] for name in _ARRAYS}, provenance=prov)
-        rm.fingerprint = meta.get("problem")
+        rm = cls(**arrays, provenance=prov)
+        rm.fingerprint = fingerprint
         return rm

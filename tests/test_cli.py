@@ -356,6 +356,21 @@ class TestRun:
         assert main(["run", "--config", str(cfg2)]) == 2
         assert "built for another problem" in capsys.readouterr().err
 
+    def test_load_rb_with_a_truncated_block_exits_2(self, tmp_path, capsys):
+        rb_path = str(tmp_path / "rb8.npz")
+        cfg = write_config(tmp_path / "c.json", particles=4, max_steps=0,
+                           backend={"kind": "rb-fixed", "tol": 1e-3}, save_rb=rb_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        with np.load(rb_path) as data:
+            arrays = dict(data)
+        arrays["Au"] = arrays["Au"][:, :-1, :-1]  # beside bases of one more column
+        np.savez(rb_path, **arrays)
+        cfg2 = write_config(tmp_path / "c2.json", max_steps=1, backend={"kind": "rb-fixed"},
+                            load_rb=rb_path, output_dir=str(tmp_path / "out2"))
+        assert main(["run", "--config", str(cfg2)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read reduced model" in err and "Au has shape" in err
+
     @pytest.mark.parametrize("content", [None, b"not an npz archive\n"],
                              ids=["missing", "not-npz"])
     def test_load_rb_unreadable(self, tmp_path, capsys, content):
@@ -381,6 +396,21 @@ class TestBadInputExits2:
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "configuration error:" in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", [
+        "import dataclasses\nfrom svrb.cases import uniform4_case\n\n\ndef build_case():\n"
+        "    return dataclasses.replace(uniform4_case(6), prior=None)\n",
+        "from svrb.cases import custom_case\n\n\ndef build_case():\n"
+        "    return custom_case(6, diffusion=[1.0], load=[1.0], prior=None, dim=1)\n",
+    ], ids=["case-config", "custom-case"])
+    def test_custom_case_without_a_prior(self, tmp_path, capsys, source):
+        module = tmp_path / "case.py"
+        module.write_text(source)
+        cfg = write_config(tmp_path / "c.json", case={"name": "custom", "module": str(module)})
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and str(module) in err and "prior" in err
         assert not (tmp_path / "out").exists()
 
     def test_error_inside_build_case_surfaces(self, tmp_path):

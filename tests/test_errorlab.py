@@ -11,7 +11,6 @@ from svrb.errorlab import (
     error_decay_study,
     kl_bound_estimate,
     kl_terms,
-    rb_sensitivities,
     residual_vectors,
     sample_discrepancy,
     true_errors,
@@ -60,10 +59,10 @@ class TestTrueErrors:
 def solve_sensitivities_by_lu(rm, problem, theta, u_r, psi_r):
     """The reduced sensitivities from freshly assembled reduced operators
     and ``np.linalg.solve``: the reference for the factored path."""
-    cA, cF, dcA, dcF = problem.eval_coefficients(theta)
-    Au, Ap, _, _ = rm._online_operators(cA, cF)
-    dAu, dAp, dfu, _ = rm._online_operators(dcA.T, dcF.T)
-    du = np.linalg.solve(Au, (dfu - dAu @ u_r).T).T
+    cA, _, dcA, dcF = problem.eval_coefficients(theta)
+    Au, Ap = (np.tensordot(cA, blocks, axes=1) for blocks in (rm.Au, rm.Ap))
+    dAu, dAp = (np.tensordot(dcA.T, blocks, axes=1) for blocks in (rm.Au, rm.Ap))
+    du = np.linalg.solve(Au, (dcF.T @ rm.fu - dAu @ u_r).T).T
     rhs_p = -(np.swapaxes(dAp, 1, 2) @ psi_r) - problem.misfit_weighted(du @ rm.Ou) @ rm.Op.T
     return du, np.linalg.solve(Ap.T, rhs_p.T).T
 
@@ -78,7 +77,7 @@ class TestSensitivities:
             rm = build_small_rb(p, np.random.default_rng(4), 4)
         for theta in draw_coercive(p, np.random.default_rng(7), 3):
             ev = rm.evaluate(p, theta)
-            got = rb_sensitivities(rm, p, theta, ev.u_r, ev.psi_r)
+            got = rm.sensitivities(p, theta, ev.u_r, ev.psi_r)
             for x, ref in zip(got, solve_sensitivities_by_lu(rm, p, theta, ev.u_r, ev.psi_r)):
                 assert x.shape == ref.shape == (p.dim, ref.shape[1])
                 assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -1,7 +1,7 @@
 """The reduced model hands out its last online pass again for the same
 problem and a bitwise-equal parameter stack, and that reuse changes no result;
-it grows the factors of its held stack through each enrichment, and a grown
-pass agrees with a fresh one to rounding."""
+the first pass on its held stack after enrichments grows that stack's factors
+by the new columns, and a grown pass agrees with a fresh one to rounding."""
 
 import dataclasses
 
@@ -61,16 +61,21 @@ def assert_close_evaluation(a, b):
 
 
 def count_factorizations(monkeypatch):
-    """Count the full factorizations of operator stacks, over every model."""
+    """Count the fresh factorizations of operator stacks, one per system
+    (state or adjoint) factored, over every model."""
     calls = []
-    factor = reduced._Factors.factor
+    factor = reduced._Factors._factor
 
     def counting(self, *args):
-        calls.append(1)
+        calls.append(self.what)
         return factor(self, *args)
 
-    monkeypatch.setattr(reduced._Factors, "factor", counting)
+    monkeypatch.setattr(reduced._Factors, "_factor", counting)
     return calls
+
+
+def orders(rm):
+    return [factors.order for factors in rm._factors]
 
 
 @pytest.fixture(scope="module", params=["uniform4", "gaussian9"])
@@ -133,8 +138,7 @@ class TestHeldPass:
         p, base, thetas = case
         rm = fresh(base)
         on = rm._solve_online(p, thetas)
-        held = [*on.coeffs] + [getattr(on, name) for name in on._fields
-                               if name not in ("coeffs", "solve")]
+        held = [*on.coeffs] + [getattr(on, name) for name in on._fields if name != "coeffs"]
         eta_r, _, u_r, psi_r = rm.potential(p, thetas)  # the corrected sum is a new array
         held += [eta_r, u_r, psi_r]
         ev = rm.evaluate(p, thetas)
@@ -292,16 +296,32 @@ class TestGrownFactors:
             if op == "enrich":
                 theta = draw_coercive(p, rng, 1)[0]
                 ev = hifi.evaluate(p, theta)
-                held = rm._factors.order is not None
-                added = rm.enrich(p, ev.u, ev.psi, theta)
-                if held and all(added):  # the held factors grew; none were dropped
-                    assert rm._factors.order == (rm.n_state, rm.n_adjoint)
+                held = orders(rm)
+                rm.enrich(p, ev.u, ev.psi, theta)
+                assert orders(rm) == held  # an enrichment leaves the factors to the next pass
             elif op == "potential":
                 for got, ref in zip(rm.potential(p, stacks[k]), fresh(rm).potential(p, stacks[k])):
                     assert_close(got, ref)
             else:
                 assert_close_evaluation(rm.evaluate(p, stacks[k]),
                                         fresh(rm).evaluate(p, stacks[k]))
+            if op != "enrich":  # a pass brings both systems' factors up to date
+                assert orders(rm) == [rm.n_state, rm.n_adjoint]
+
+    def test_one_pass_grows_by_two_enrichments(self, case, monkeypatch):
+        p, base, thetas = case
+        rm = fresh(base)
+        rm.potential(p, thetas)
+        rng = np.random.default_rng(11)
+        for theta in draw_coercive(p, rng, 2):  # no pass between the two
+            ev = hifi.evaluate(p, theta)
+            assert rm.enrich(p, ev.u, ev.psi, theta) == (True, True)
+        assert orders(rm) == [base.n_state, base.n_adjoint]
+        factorizations = count_factorizations(monkeypatch)
+        after = rm.evaluate(p, thetas)
+        assert orders(rm) == [base.n_state + 2, base.n_adjoint + 2]
+        assert not factorizations
+        assert_close_evaluation(after, fresh(rm).evaluate(p, thetas))
 
     def test_sweep_factors_only_its_first_pass(self, uniform4_8, monkeypatch):
         p = uniform4_8
@@ -312,11 +332,12 @@ class TestGrownFactors:
         sweep = greedy_sweep(rm, p, particles, tol=1e-6, max_basis=8)
         assert sweep.n_enriched >= 3 and not sweep.skipped
         assert len(sweep.history) == sweep.n_enriched + 1
-        assert len(factorizations) == 1
+        assert factorizations == ["state", "adjoint"]
 
     def test_pivot_that_is_not_positive_drops_the_factors(self, case, monkeypatch):
-        """A grown pivot ``d^2 <= 0`` drops the held factors; the next pass
-        refactors in full and fails as a fresh model's pass does."""
+        """A grown pivot ``d^2 <= 0`` drops the held factors of its system:
+        the pass refactors that system in full and fails as a fresh model's
+        pass does."""
         p, base, thetas = case
         rm = fresh(base)
         rm.potential(p, thetas)
@@ -327,27 +348,20 @@ class TestGrownFactors:
         monkeypatch.setattr(p, "block_products", lambda x: -products(x))
         rm._append(p, rm._orthogonalize(p, ev.u, rm.basis_u), "state")
         monkeypatch.undo()
-        assert rm._factors.order is None
         factorizations = count_factorizations(monkeypatch)
         with pytest.raises(RBSolveFailed, match="state: .*not positive definite") as grown:
             rm.potential(p, thetas)
-        assert len(factorizations) == 1
+        assert factorizations == ["state"] and orders(rm)[0] == 0
         with pytest.raises(RBSolveFailed) as direct:
             fresh(rm).potential(p, thetas)
         assert str(grown.value) == str(direct.value)
 
-    def test_solver_of_a_dropped_pass_raises(self, case):
+    def test_solve_needs_one_row_per_factor(self, case):
         p, base, thetas = case
         rm = fresh(base)
-        rhs = np.ones((len(thetas), rm.n_state))
-        solve = rm._solve_online(p, thetas).solve[0]
-        assert np.array_equal(solve(rhs), rm._solve_online(p, thetas).solve[0](rhs))
-        rm.potential(p, thetas[::-1])  # another stack refills the workspace
-        with pytest.raises(RuntimeError, match="dropped online pass"):
-            solve(rhs)
-        solve = rm._solve_online(p, thetas).solve[0]
-        theta = draw_coercive(p, np.random.default_rng(9), 1)[0]
-        ev = hifi.evaluate(p, theta)
-        rm.enrich(p, ev.u, ev.psi, theta)  # an enrichment grows the factors
-        with pytest.raises(RuntimeError, match="dropped online pass"):
-            solve(rhs)
+        u_r = rm.potential(p, thetas)[2]
+        state = rm._factors[0]
+        assert np.array_equal(state.solve(p.eval_coefficients(thetas)[1] @ rm.fu), u_r)
+        for rows in (len(thetas) - 1, len(thetas) + 1):  # not silently truncated
+            with pytest.raises(ValueError, match="zip"):
+                state.solve(np.ones((rows, rm.n_state)))
