@@ -15,7 +15,6 @@ import numpy as np
 
 from . import hifi
 from .backends import RBBackend
-from .fem import CoercivityLost
 from .reduced import ReducedModel
 from .svgd import draw_prior, svgd_run
 
@@ -95,29 +94,24 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis
     Each pass scores every live particle in one online pass.  Stops early
     when the basis cap is reached or when the selected parameter is already
     a snapshot and its indicator refuses to drop (both loudly flagged).
-    The particles the online pass's guard rejects are skipped for the sweep
-    before any particle is scored; the model guards the rest once, and grows
-    the factors of their operators through each enrichment, so only the
-    first pass factors them.  ``SweepResult.timers`` holds the seconds of
-    the :data:`SWEEP_PARTS`.
+    One coercivity verdict per particle (``problem.coercive_rows``, clocked
+    with the indicator passes) skips the non-coercive particles for the
+    whole sweep before any particle is scored; the model guards the rest
+    once, and grows the factors of their operators through each
+    enrichment, so only the first pass factors them.  ``SweepResult.timers``
+    holds the seconds of the :data:`SWEEP_PARTS`.
     """
     particles = np.atleast_2d(particles)
     result = SweepResult(n_enriched=0, max_indicator=np.inf)
-    live = np.ones(len(particles), dtype=bool)
+    with _clock(result.timers, "indicator"):
+        live = problem.coercive_rows(particles)
+    result.skipped = np.flatnonzero(~live).tolist()
     last_selected = {}  # theta bytes -> indicator when last selected
 
     while True:
-        vals = np.full(len(particles), -np.inf)
-        if live.any():
-            try:  # only a new stack is guarded: the first pass, or one after a skip
-                with _clock(result.timers, "indicator"):
-                    vals[live] = np.abs(rm._solve_online(problem, particles[live]).delta)
-            except CoercivityLost as lost:
-                pick = int(np.flatnonzero(live)[lost.row])
-                live[pick] = False
-                result.skipped.append(pick)
-                continue
-        worst = float(vals.max())
+        with _clock(result.timers, "indicator"):
+            vals = np.abs(rm._solve_online(problem, particles[live]).delta)
+        worst = float(vals.max(initial=-np.inf))  # -inf when no particle is live
         result.history.append(worst)
         result.max_indicator = worst
         if worst <= tol:
@@ -125,13 +119,13 @@ def greedy_sweep(rm, problem, particles, tol, max_basis=AdaptiveConfig.max_basis
         if rm.n_state >= max_basis or rm.n_adjoint >= max_basis:
             result.flags.append("basis_cap")
             break
-        pick = int(np.argmax(vals))  # argmax; ties resolve to the lowest index
-        theta = particles[pick]
+        best = int(np.argmax(vals))  # ties resolve to the lowest index
+        theta = particles[np.flatnonzero(live)[best]]
         key = theta.tobytes()
-        if key in last_selected and vals[pick] > (1 - STAGNATION_DROP) * last_selected[key]:
+        if key in last_selected and vals[best] > (1 - STAGNATION_DROP) * last_selected[key]:
             result.flags.append("stagnation")
             break
-        last_selected[key] = vals[pick]
+        last_selected[key] = vals[best]
         with _clock(result.timers, "snapshots"):
             ev = hifi.evaluate(problem, theta)
         with _clock(result.timers, "enrich"):

@@ -28,8 +28,8 @@ _CONFIG = (ConfigError, ConfigurationError, UnsupportedCoefficient)
 
 
 def _load_rb(path, problem):
-    """Load a stored reduced model, refusing a file that does not read as one
-    and one built for another problem."""
+    """Load a stored reduced model, refusing a file that does not read as one,
+    one built for another problem and one that holds no snapshot."""
     try:
         rm = ReducedModel.load(path)
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
@@ -37,6 +37,8 @@ def _load_rb(path, problem):
     if rm.fingerprint != problem_fingerprint(problem):
         raise ConfigError(f"reduced model {path} was built for another problem: "
                           f"{rm.fingerprint} != {problem_fingerprint(problem)}")
+    if not rm.provenance:
+        raise ConfigError(f"reduced model {path} holds no snapshot")
     return rm
 
 

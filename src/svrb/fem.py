@@ -26,15 +26,14 @@ import scipy.sparse.linalg as spla
 
 
 class CoercivityLost(RuntimeError):
-    """The diffusion field of ``theta``, row ``row`` of the checked stack, is
-    not strictly positive at some quadrature point."""
+    """The diffusion field of ``theta`` is not strictly positive at some
+    quadrature point."""
 
-    def __init__(self, theta, min_value, floor, row=0):
+    def __init__(self, theta, min_value, floor):
         self.theta = np.asarray(theta, dtype=float)
         self.min_value = float(min_value)
         self.floor = float(floor)
-        self.row = int(row)
-        super().__init__(self.theta, self.min_value, self.floor, self.row)
+        super().__init__(self.theta, self.min_value, self.floor)
 
     def __str__(self):  # formatted when read: line-search trials swallow most of these
         return (f"diffusion field min {self.min_value:.3e} <= floor {self.floor:.1e} "
@@ -405,20 +404,18 @@ class AffineParametricProblem:
         lo, hi = np.array([(v.min(), v.max()) for v in fields]).reshape(cA.shape[:-1] + (2,)).T
         return lo, hi
 
-    def check_coercive(self, theta, coeffs=None):
-        """Raise :class:`CoercivityLost` at the first row of ``theta`` (one
-        parameter or a stack ``(M, d)``) whose field dips below the floor.
+    def _bad_rows(self, theta, coeffs=None):
+        """Yield ``(row, minimum)`` for each row of ``theta`` (one parameter
+        or a stack ``(M, d)``) whose field dips below the floor, in row order:
+        the scan behind :meth:`coercive_rows` and :meth:`check_coercive`.
 
-        The surrogate extrapolates smoothly into regions where the full
-        operator is not even well posed, so every evaluation is guarded:
-        without a guard a trial step can report an arbitrarily attractive
-        fake merit, and a clamped iterate can leave the coercive set.  The
-        conservative O(J) bound of :meth:`conservative_field_min`, evaluated
-        for the whole stack at once, keeps the typical cost mesh-independent;
-        only rows where that bound is inconclusive get the exact minimum, in
-        order, each from the row's own field (:meth:`_field`), so a bad row
-        stops the check early and a row's verdict and reported minimum do
-        not depend on the stack.  A NaN or infinite minimum counts as bad.
+        The conservative O(J) bound of :meth:`conservative_field_min`,
+        evaluated for the whole stack at once, keeps the typical cost
+        mesh-independent; only rows where that bound is inconclusive get the
+        exact minimum, lazily, each from the row's own field (:meth:`_field`),
+        so a reader that stops at the first bad row forms no later field, and
+        a row's verdict and reported minimum do not depend on the stack.  A
+        NaN or infinite minimum counts as bad.
         """
         coeffs = coeffs or self.eval_coefficients(theta)
         cA = np.atleast_2d(coeffs[0])
@@ -426,7 +423,25 @@ class AffineParametricProblem:
         for m in np.flatnonzero(unsure):
             lo = self._field(cA[m]).min()
             if not (np.isfinite(lo) and lo > self.coercivity_floor):
-                raise CoercivityLost(np.atleast_2d(theta)[m], lo, self.coercivity_floor, m)
+                yield m, lo
+
+    def coercive_rows(self, theta, coeffs=None):
+        """One verdict per row of ``theta`` (a stack of one for a single
+        parameter): True where the field stays above the floor."""
+        bad = [m for m, _ in self._bad_rows(theta, coeffs)]
+        return ~np.isin(np.arange(len(np.atleast_2d(theta))), bad)
+
+    def check_coercive(self, theta, coeffs=None):
+        """Raise :class:`CoercivityLost` at the first bad row of ``theta``
+        (:meth:`_bad_rows`), forming no field past it.
+
+        The surrogate extrapolates smoothly into regions where the full
+        operator is not even well posed, so every evaluation is guarded:
+        without a guard a trial step can report an arbitrarily attractive
+        fake merit, and a clamped iterate can leave the coercive set.
+        """
+        for m, lo in self._bad_rows(theta, coeffs):
+            raise CoercivityLost(np.atleast_2d(theta)[m], lo, self.coercivity_floor)
 
     def conservative_field_min(self, theta, coeffs=None):
         """Rigorous lower bound on the field minimum, online cost O(J).

@@ -502,19 +502,22 @@ class ReducedModel:
     @classmethod
     def load(cls, path):
         """Read a ``.npz`` artifact; its ``fingerprint`` is None if it has none.
-        Raises ``ValueError`` when the arrays' shapes disagree with each other
-        or with the fingerprint's sizes."""
+        Raises ``ValueError`` when the arrays' shapes, the provenance's
+        included unless it is empty, disagree with each other or with the
+        fingerprint's sizes."""
         data = np.load(path, allow_pickle=False)
         fingerprint = json.loads(str(data["meta"])).get("problem")
         arrays = {name: data[name] for name in _ARRAYS}
-        sizes = dict(fingerprint or {})  # N_u, N_p and s are read off their first array
-        for name, dims in _ARRAYS.items():
-            shape = arrays[name].shape
+        prov = data["provenance"]
+        checked = dict(arrays, provenance=prov) if prov.size else arrays  # empty: (0, 0)
+        shapes = dict(_ARRAYS, provenance=("K", "dim"))  # K snapshot parameters
+        sizes = dict(fingerprint or {})  # N_u, N_p, s and K are read off their first array
+        for name, array in checked.items():
+            shape, dims = array.shape, shapes[name]
             if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n
                                                for d, n in zip(dims, shape)):
                 raise ValueError(f"{path}: {name} has shape {shape}, not "
                                  f"{tuple(sizes.get(d, d) for d in dims)}")
-        prov = [row.copy() for row in data["provenance"]] if data["provenance"].size else []
-        rm = cls(**arrays, provenance=prov)
+        rm = cls(**arrays, provenance=[row.copy() for row in prov] if prov.size else [])
         rm.fingerprint = fingerprint
         return rm

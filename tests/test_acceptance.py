@@ -210,8 +210,13 @@ def test_criterion_8_speedup(tmp_path):
     assert main(["bench", "--config", str(path)]) == 0
     with open(tmp_path / "bench" / "bench.csv") as fh:
         rows = {r["pipeline"]: r for r in csv.DictReader(fh)}
-    speedup = float(rows["rb-adaptive"]["speedup"])
-    report("08 speedup", speedup > 10.0, f"measured {speedup:.1f}x")
+    hi, rb = rows["hifi"], rows["rb-adaptive"]
+    speedup = float(rb["speedup"])
+    report("08 speedup", speedup > 10.0,
+           f"measured {speedup:.1f}x; hifi eval {float(hi['eval_seconds']):.2f} s for "
+           f"{hi['hifi_solves']} solves; RB build {float(rb['build_seconds']):.2f} s + eval "
+           f"{float(rb['eval_seconds']):.2f} s for {rb['hifi_solves']} solves; "
+           f"n_rb {rb['n_rb']}")
 
 
 def test_criterion_9_trajectory_fidelity(uniform4_32):

@@ -16,6 +16,7 @@ from svrb.adaptive import (
 )
 from svrb.backends import RBBackend
 from svrb.cases import assemble_problem, uniform4_case
+from svrb.fem import CoercivityLost
 from svrb.svgd import SVGDConfig, draw_prior, svgd_run
 from svrb.verify import draw_coercive
 
@@ -56,12 +57,24 @@ class TestGreedySweep:
         assert rm.n_state <= 500
         assert not result.flags
 
-    def test_skips_non_coercive_particles(self, uniform4_16):
+    def test_skips_non_coercive_particles(self, uniform4_16, monkeypatch):
         p = uniform4_16
         rm = initialize(p, p.theta_ref)
         bad = -np.sqrt(3.0) * np.ones(4)
         particles = np.vstack([bad, draw_coercive(p, np.random.default_rng(2), 4)])
+        raised = []  # the stacks on which an online pass of the sweep raised
+        solve_online = rm._solve_online
+
+        def scored(problem, thetas):
+            try:
+                return solve_online(problem, thetas)
+            except CoercivityLost:
+                raised.append(thetas)
+                raise
+
+        monkeypatch.setattr(rm, "_solve_online", scored)
         result = greedy_sweep(rm, p, particles, tol=1e-6)
+        assert not raised
         assert 0 in result.skipped
         assert result.max_indicator <= 1e-6 or "stagnation" in result.flags
         assert all(not np.array_equal(t, bad) for t in rm.provenance)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from svrb.cases import assemble_problem, uniform4_case
 from svrb.cli import main, speedup_ratio
 from svrb.config import ConfigError, ExperimentConfig
-from svrb.fem import CoercivityLost
+from svrb.reduced import ReducedModel
 from svrb.svgd import draw_prior
 
 
@@ -285,15 +285,8 @@ class TestRun:
 
     def test_numerical_abort_exit_code(self, tmp_path):
         p = assemble_problem(uniform4_case(8))
-        bad_seed = None
-        for seed in range(40):
-            try:
-                for theta in draw_prior(p.prior, 64, seed):
-                    p.check_coercive(theta)
-            except CoercivityLost:
-                bad_seed = seed
-                break
-        assert bad_seed is not None
+        bad_seed = next(seed for seed in range(40)
+                        if not p.coercive_rows(draw_prior(p.prior, 64, seed)).all())
         cfg = write_config(tmp_path / "c.json", particles=64, seed=bad_seed)
         assert main(["run", "--config", str(cfg)]) == 3
 
@@ -370,6 +363,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg2)]) == 2
         err = capsys.readouterr().err
         assert "cannot read reduced model" in err and "Au has shape" in err
+
+    def test_load_rb_without_a_snapshot_exits_2(self, tmp_path, capsys):
+        rb_path = str(tmp_path / "empty.npz")
+        ReducedModel.empty(assemble_problem(uniform4_case(8))).save(rb_path)
+        cfg = write_config(tmp_path / "c.json", max_steps=1, backend={"kind": "rb-fixed"},
+                           load_rb=rb_path)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert f"reduced model {rb_path} holds no snapshot" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, b"not an npz archive\n"],
                              ids=["missing", "not-npz"])
@@ -634,6 +635,24 @@ class TestAnalyze:
         (tmp_path / "out" / "rb.npz").write_bytes(b"PK\x03\x04 truncated")
         assert main(["analyze", str(tmp_path / "out")]) == 2
         assert "cannot read reduced model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda prov: prov[:0], "holds no snapshot"),
+        (lambda prov: prov[:, :3], "provenance has shape")],  # uniform4 parameters have 4
+        ids=["no-snapshot", "provenance-dim"])
+    def test_rb_with_a_provenance_that_does_not_fit_is_a_config_error(self, tmp_path, capsys,
+                                                                       cut, message):
+        cfg = write_config(tmp_path / "c.json", particles=4, max_steps=0,
+                           backend={"kind": "rb-fixed", "tol": 1e-3})
+        assert main(["run", "--config", str(cfg)]) == 0
+        rb_path = tmp_path / "out" / "rb.npz"
+        with np.load(rb_path) as data:
+            arrays = dict(data)
+        arrays["provenance"] = cut(arrays["provenance"])
+        np.savez(rb_path, **arrays)
+        assert main(["analyze", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"reduced model {rb_path}" in err and message in err
 
     def test_snapshot_only_model_gives_zero_error_rows(self, tmp_path):
         # zero sampler steps, tiny tolerance: the initial sweep turns every

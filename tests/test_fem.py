@@ -320,6 +320,14 @@ class TestOperator:
                 assert exc.min_value == p.field_range(theta)[0]
                 alone.append(exc.min_value)
         assert np.array_equal(p.field_range(thetas)[0], [p.field_range(t)[0] for t in thetas])
+        verdicts = p.coercive_rows(thetas)
+        assert verdicts.tolist() == [lo is None for lo in alone]
+        if not verdicts.all():  # the guard stops at the first row the verdict refuses
+            first = int(np.argmin(verdicts))
+            with pytest.raises(CoercivityLost) as err:
+                p.check_coercive(thetas)
+            assert np.array_equal(err.value.theta, thetas[first])
+            assert err.value.min_value == alone[first]
         for end in range(1, len(thetas) + 1):
             bad = [i for i in range(end) if alone[i] is not None]
             if not bad:

@@ -360,8 +360,9 @@ class TestInvariantsAndPersistence:
     @pytest.mark.parametrize("name, cut", [
         ("Au", lambda a: a[:, :-1, :-1]), ("Aup", lambda a: a[:, :, :-1]),
         ("fp", lambda a: a[:-1]), ("Op", lambda a: a[:, :-1]), ("basis_psi", lambda a: a[:-1]),
-        ("Op", lambda a: a[0])], ids=["Au-order", "Aup-column", "fp-J_F", "Op-obs",
-                                      "basis-dofs", "Op-ndim"])
+        ("Op", lambda a: a[0]), ("provenance", lambda a: a[:, :-1])],
+        ids=["Au-order", "Aup-column", "fp-J_F", "Op-obs", "basis-dofs", "Op-ndim",
+             "provenance-dim"])
     def test_load_refuses_arrays_that_disagree(self, rb_uniform4_16, tmp_path, name, cut):
         path = tmp_path / "rb.npz"
         rb_uniform4_16.save(path)
