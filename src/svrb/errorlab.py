@@ -109,7 +109,7 @@ def bound_constants(problem, theta):
     _, dF = problem.operator_derivatives(theta, coeffs)
     dF_dual = np.array([problem.dual_norm(dF_j) for dF_j in dF])
 
-    o_dual = problem.obs_dual_norms()
+    o_dual = problem.obs_dual_norms
     O_dual = float(np.sqrt(np.sum(o_dual**2)))
     gamma_inv_norm = float(np.max(problem.noise_precision))
     y_norm = float(np.linalg.norm(problem.y))

@@ -19,6 +19,7 @@ fill-reducing ordering of it, so every later factorization
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -314,7 +315,6 @@ class AffineParametricProblem:
     noise_seed: int
 
     def __post_init__(self):
-        self._gram_lu = None
         # per-term field extrema over quadrature points; these give an O(J)
         # lower bound on the diffusion field used by online-only evaluations
         self._coeff_lo = self.coeff_at_quad.min(axis=0)
@@ -500,13 +500,15 @@ class AffineParametricProblem:
     def v_norm(self, v):
         return np.sqrt(max(self.v_inner(v, v), 0.0))
 
+    @cached_property
+    def _gram_lu(self):
+        try:
+            return spd_lu(self.gram)
+        except RuntimeError as exc:  # pragma: no cover - fatal setup error
+            raise ConfigurationError(f"Gram factorization failed: {exc}") from exc
+
     def gram_solve(self, g):
         """Riesz representative of a functional coefficient vector."""
-        if self._gram_lu is None:
-            try:
-                self._gram_lu = spd_lu(self.gram)
-            except RuntimeError as exc:  # pragma: no cover - fatal setup error
-                raise ConfigurationError(f"Gram factorization failed: {exc}") from exc
         return self._gram_lu.solve(g)
 
     def dual_norm(self, g):
@@ -514,14 +516,11 @@ class AffineParametricProblem:
         z = self.gram_solve(g)
         return np.sqrt(max(float(g @ z), 0.0))
 
+    @cached_property
     def obs_dual_norms(self):
         """Dual norms of the observation functionals (computed once)."""
-        if getattr(self, "_obs_dual", None) is None:
-            self._obs_dual = np.array([
-                self.dual_norm(self.obs_matrix[:, i].toarray().ravel())
-                for i in range(self.n_obs)
-            ])
-        return self._obs_dual
+        return np.array([self.dual_norm(self.obs_matrix[:, i].toarray().ravel())
+                         for i in range(self.n_obs)])
 
     # -- observation ------------------------------------------------------
 

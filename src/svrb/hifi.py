@@ -13,9 +13,8 @@ sensitivities.  :func:`evaluate` is the one state-then-adjoint pass
 fields, never pay for it.  :func:`solve_sensitivities` reuses its
 factorization, and :func:`solve_state` and :func:`potential` need only the
 state.  One misfit helper forms the observation residual for both passes.
-The operator is symmetric (problem assembly rejects a non-symmetric block);
-adjoint solves still go through the transpose-solve entry point, which
-keeps each adjoint equation written as the transpose it is.
+The operator is symmetric (problem assembly rejects a non-symmetric block),
+so one solve serves the state and the adjoint equations alike.
 """
 
 from dataclasses import dataclass, field
@@ -40,18 +39,17 @@ class Factorization:
         self.A, self.f = problem.operator(self.theta, self.coeffs)
         self._lu = spd_lu(self.A)
 
-    def _check(self, x, b, transpose):
-        op = self.A.T if transpose else self.A
-        r = np.linalg.norm(op @ x - b)
+    def _check(self, x, b):
+        r = np.linalg.norm(self.A @ x - b)
         scale = np.linalg.norm(b)
         if r > RESIDUAL_RTOL * (scale if scale > 0 else 1.0):
             raise SolveFailed(
                 f"linear solve residual {r:.3e} exceeds {RESIDUAL_RTOL:.1e} * {scale:.3e}"
             )
 
-    def solve(self, b, transpose=False):
-        x = self._lu.solve(b, trans="T" if transpose else "N")
-        self._check(x, b, transpose)
+    def solve(self, b):
+        x = self._lu.solve(b)
+        self._check(x, b)
         return x
 
 
@@ -105,7 +103,7 @@ def evaluate(problem, theta, op=None):
     op = op or Factorization(problem, theta)
     u = op.solve(op.f)
     eta, weighted = _misfit(problem, u)
-    psi = op.solve(problem.obs_matrix @ weighted, transpose=True)
+    psi = op.solve(problem.obs_matrix @ weighted)
     return HiFiEvaluation(u=u, psi=psi, eta=eta, problem=problem, coeffs=op.coeffs)
 
 
@@ -124,5 +122,5 @@ def solve_sensitivities(problem, op, u, psi):
         du[j] = op.solve(dF[j] - dA[j] @ u)
         rhs_psi = -(dA[j].T @ psi) - problem.obs_matrix @ problem.misfit_weighted(
             problem.observe(du[j]))
-        dpsi[j] = op.solve(rhs_psi, transpose=True)
+        dpsi[j] = op.solve(rhs_psi)
     return du, dpsi

@@ -24,11 +24,12 @@ LAPACK upper-packed storage: row m's factor is the leading ``N(N+1)/2``
 entries of its row, column after column, so one more basis vector appends
 entries and moves none.  The pass brings them up to date
 (:meth:`_Factors.fit`): a new stack's operators are assembled straight into
-that storage, with one product of the coefficient rows and the packed
-blocks, and factored by ``dpptrf``.  An enrichment only drops the held pass;
-the next pass on the held stack extends each factor by the new columns as
-``dpptrf`` computes a column (the operator column ``a``, ``U^T l = a[:k]``
-by ``dtpsv``, the pivot ``sqrt(a_k - l.l)``) and factors nothing afresh.  A
+that storage column by column, each column one product of the coefficient
+rows and the blocks' column, and factored by ``dpptrf``.  An enrichment
+only drops the held pass; the next pass on the held stack forms each new
+column by that same product and extends each factor by it as ``dpptrf``
+computes a column (``U^T l = a[:k]`` by ``dtpsv``, the pivot
+``sqrt(a_k - l.l)``), so a grown factor is bitwise a fresh one.  A
 pivot that is not positive refactors that system in full, which raises as
 a fresh pass would.  No solver outlives its call, so none reads factors
 that a later pass changed.
@@ -50,7 +51,6 @@ A(basis_n, basis_m)``; the cross block maps state coefficients to adjoint
 test functions, ``C[m, n] = A(state_n, adjoint_m)``.
 """
 
-import functools
 import hashlib
 import json
 import math
@@ -118,17 +118,6 @@ def _unstack(x, single):
     return x[0] if single else x
 
 
-@functools.lru_cache(maxsize=4)  # the orders of the last few passes
-def _packed_index(n):
-    """Flat indices into a C-ordered symmetric ``(n, n)`` matrix of its upper
-    triangle in LAPACK packed order: column j's rows 0..j, column by column
-    (read as row j's columns 0..j, the same values)."""
-    j, i = np.tril_indices(n)
-    index = j * n + i
-    index.flags.writeable = False
-    return index
-
-
 class _Factors:
     """Upper Cholesky factors of one reduced system's operators (``what``:
     state or adjoint), one per row of the held stack, in one workspace.
@@ -159,12 +148,14 @@ class _Factors:
         """Bring the factors up to date with the operators of the coefficient
         rows ``cA`` ``(M, J_A)`` and the blocks ``B`` ``(J_A, n, n)``.
 
+        Every operator column enters packed storage the same way, as the
+        product ``cA @ B[:, k, :k+1]`` of :meth:`_column`, so factors grown
+        to order n are bitwise the ones a fresh fit at order n forms.
         Factors held at a lower order grow column by column, as ``dpptrf``
-        computes column k from the operators' column ``a = cA @ B[:, k, :k+1]``:
-        ``l`` solves ``U^T l = a[:k]`` (``dtpsv``) and the new pivot is
+        computes column k from the operators' column ``a``: ``l`` solves
+        ``U^T l = a[:k]`` (``dtpsv``) and the new pivot is
         ``sqrt(a[k] - l.l)``.  With no factors held, or after a pivot that is
-        not positive, the operators are assembled straight into packed
-        storage, with one product of ``cA`` and the packed blocks, and
+        not positive, the operators are assembled column by column and
         factored in place; that raises as any fresh factorization would.
         """
         n = B.shape[-1]
@@ -173,17 +164,26 @@ class _Factors:
         if 0 < self.order < n:
             self._reserve(self.rows, n, keep=self.order * (self.order + 1) // 2)
             while 0 < self.order < n:
-                self._grow(cA, B[:, self.order, :self.order + 1])
+                self._grow(cA, B)
         if self.order != n:
             self._factor(cA, B)
 
-    def _grow(self, cA, column):
-        k, self.order = self.order, 0  # held again once every row has its pivot
+    def _column(self, cA, B, k):
+        """Write the operators' column k, rows 0..k, into the packed storage
+        of the first ``len(cA)`` rows; returns its start in each row.  The
+        blocks' column is copied first: BLAS may round a product differently
+        for another stride of an operand, and the blocks of a lower order,
+        from which held columns were formed, are laid out for that order."""
         start = k * (k + 1) // 2
-        rows = self.buf[:self.rows]
-        np.matmul(cA, column, out=rows[:, start:start + k + 1])
+        column = np.ascontiguousarray(B[:, k, :k + 1])
+        np.matmul(cA, column, out=self.buf[:len(cA), start:start + k + 1])
+        return start
+
+    def _grow(self, cA, B):
+        k, self.order = self.order, 0  # held again once every row has its pivot
+        start = self._column(cA, B, k)
         # arguments by position: at small n, parsing keywords costs a third of each call
-        for ap in rows:
+        for ap in self.buf[:self.rows]:
             blas.dtpsv(k, ap, ap, 1, start, 0, 1, 0, 1)  # offx=start, trans=1, in place
             pivot = ap[start + k] - blas.ddot(ap, ap, k, start, 1, start, 1)
             if not pivot > 0.0:
@@ -194,8 +194,9 @@ class _Factors:
     def _factor(self, cA, B):
         n, self.order = B.shape[-1], 0
         self._reserve(len(cA), n)
+        for k in range(n):
+            self._column(cA, B, k)
         rows = self.buf[:len(cA), :n * (n + 1) // 2]
-        np.matmul(cA, B.reshape(len(B), -1)[:, _packed_index(n)], out=rows)
         for m, ap in enumerate(rows):
             info = lapack.dpptrf(n, ap, 0, 1)[1]  # lower=0, overwrite=1
             if info:
