@@ -27,12 +27,12 @@ N_PARTICLES, SEED = 4, 0
 class FullEvaluation(HiFiBackend):
     """Ignores the budget: every trial evaluates every particle."""
 
-    def potential_batch(self, thetas, budget=np.inf):
-        return super().potential_batch(thetas)
+    def potential(self, thetas, budget=np.inf):
+        return super().potential(thetas)
 
 
 def _direction(problem, particles):
-    _, grads = HiFiBackend(problem).evaluate_batch(particles)
+    _, grads = HiFiBackend(problem).evaluate(particles)
     scores = prior_score(problem.prior, particles) - grads
     return svgd_direction(particles, scores, median_bandwidth(particles))
 
@@ -46,7 +46,7 @@ def _state():
 
 def _search(backend):
     problem, particles, direction = _state()
-    return line_search(particles, direction, backend.potential_batch, problem.prior)
+    return line_search(particles, direction, backend.potential, problem.prior)
 
 
 @pytest.mark.parametrize("backend_cls", [HiFiBackend, FullEvaluation],
@@ -67,7 +67,7 @@ def _second_state():
     """Iteration 1 of the sampler: its particles, direction and the start step
     that the first accepted step gives it."""
     problem, particles, direction = _state()
-    alpha, _, _ = line_search(particles, direction, HiFiBackend(problem).potential_batch,
+    alpha, _, _ = line_search(particles, direction, HiFiBackend(problem).potential,
                               problem.prior)
     particles, _ = problem.prior.clamp(particles + alpha * direction)
     return problem, particles, _direction(problem, particles), min(1.0, 2.0 * alpha)
@@ -75,7 +75,7 @@ def _second_state():
 
 def _second_search(backend, start):
     problem, particles, direction, _ = _second_state()
-    return line_search(particles, direction, backend.potential_batch, problem.prior, start)
+    return line_search(particles, direction, backend.potential, problem.prior, start)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["alpha_init", "warm"])

@@ -286,11 +286,7 @@ def main(argv=None):
         cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
         cfg = _apply_overrides(cfg, args)
         _validate(cfg)  # flags bypass the check in from_dict
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        raise ConfigError(f"unknown command {args.command}")
+        return cmd_run(cfg) if args.command == "run" else cmd_bench(cfg)
     except _CONFIG as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

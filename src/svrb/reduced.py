@@ -271,7 +271,9 @@ class ReducedModel:
         return self.basis_psi.shape[1]
 
     def _orthogonalize(self, problem, snapshot, basis):
-        """Modified Gram-Schmidt in the H^1 inner product, one re-pass.
+        """Classical Gram-Schmidt in the H^1 inner product with one
+        reorthogonalization: the snapshot is projected off the whole basis
+        at once, twice.
 
         Returns the normalized remainder, or None if the snapshot is
         (numerically) already in the span.

@@ -243,7 +243,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
 
         n_evaluations = backend.n_evaluations
         try:
-            etas, grads = backend.evaluate_batch(ensemble.particles)
+            etas, grads = backend.evaluate(ensemble.particles)
         except _TRIAL_FAILURES as exc:
             raise NumericalAbort(
                 f"backend {backend.descriptor} failed in iteration {l}: {exc}"
@@ -269,7 +269,7 @@ def svgd_run(backend, prior, config, hook=None, initial_particles=None,
             alpha = float(alpha_schedule[l])
         else:
             alpha, exhausted, _ = line_search(
-                ensemble.particles, direction, backend.potential_batch, prior,
+                ensemble.particles, direction, backend.potential, prior,
                 start, config.max_backtracks,
             )
             if exhausted:  # no trial lowered the merit, so the particles stay put

@@ -221,10 +221,10 @@ def test_rb_backend_batch_guards_coercivity(uniform4_8):
     # field is about 5 - 4 * 1.7 < 0
     stack = np.array([p.theta_ref, -1.7 * np.ones(4)])
     with pytest.raises(CoercivityLost):
-        backend.evaluate_batch(stack)
+        backend.evaluate(stack)
     with pytest.raises(CoercivityLost):
-        backend.potential_batch(stack)
-    etas, grads = backend.evaluate_batch(stack[:1])
+        backend.potential(stack)
+    etas, grads = backend.evaluate(stack[:1])
     assert etas.shape == (1,) and grads.shape == (1, 4)
     assert backend.n_evaluations == 1
 
@@ -241,7 +241,7 @@ def test_reduced_model_guards_coercivity(uniform4_8):
             assert np.array_equal(lost.value.theta, bad)
 
 
-@pytest.mark.parametrize("method", ["evaluate_batch", "potential_batch"])
+@pytest.mark.parametrize("method", ["evaluate", "potential"])
 def test_rb_backend_evaluates_coefficients_once_per_batch(case, monkeypatch, method):
     p, rm, thetas = case
     calls = _count_calls(monkeypatch, type(p), "eval_coefficients")

@@ -283,6 +283,12 @@ class TestRun:
         free = np.loadtxt(mdir / "free_dofs.txt", dtype=int)
         assert np.array_equal(free, assemble_problem(uniform4_case(8)).free_dofs)
 
+    def test_dump_matrices_flag(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", max_steps=0)
+        assert "dump_matrices" not in json.loads(cfg.read_text())
+        assert main(["run", "--config", str(cfg), "--dump-matrices"]) == 0
+        assert (tmp_path / "out" / "matrices" / "A_0.mtx").is_file()
+
     def test_numerical_abort_exit_code(self, tmp_path):
         p = assemble_problem(uniform4_case(8))
         bad_seed = next(seed for seed in range(40)
@@ -385,15 +391,22 @@ class TestRun:
 
 
 class TestBadInputExits2:
-    @pytest.mark.parametrize("source, message", [
-        ("def build_case(:\n", "SyntaxError"),
-        ("import svrb_no_such_module\n", "ModuleNotFoundError"),
-        ("def build_case():\n    return 3\n", "returned 3, not a CaseConfig"),
-    ], ids=["syntax-error", "failing-import", "not-a-case"])
-    def test_bad_custom_case_module(self, tmp_path, capsys, source, message):
-        module = tmp_path / "case.py"
-        module.write_text(source)
-        cfg = write_config(tmp_path / "c.json", case={"name": "custom", "module": str(module)})
+    @pytest.mark.parametrize("filename, source, message", [
+        ("case.py", "def build_case(:\n", "SyntaxError"),
+        ("case.py", "import svrb_no_such_module\n", "ModuleNotFoundError"),
+        ("case.py", "def build_case():\n    return 3\n", "returned 3, not a CaseConfig"),
+        (None, None, "custom case requires a 'module' path"),
+        ("case.txt", "def build_case():\n    pass\n", "cannot import custom case module"),
+        ("case.py", "CASE = None\n", "has no build_case()"),
+    ], ids=["syntax-error", "failing-import", "not-a-case", "no-module", "not-a-module-path",
+            "no-build-case"])
+    def test_bad_custom_case_module(self, tmp_path, capsys, filename, source, message):
+        case = {"name": "custom"}
+        if filename is not None:  # a case.txt is no file Python can import as a module
+            module = tmp_path / filename
+            module.write_text(source)
+            case["module"] = str(module)
+        cfg = write_config(tmp_path / "c.json", case=case)
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "configuration error:" in err and message in err

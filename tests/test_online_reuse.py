@@ -202,7 +202,7 @@ def test_sampler_guards_each_stack_once(uniform4_8, monkeypatch):
     counts = {name: _count_calls(monkeypatch, type(p), name)
               for name in ("eval_coefficients", "check_coercive")}
     calls = []
-    for name in ("evaluate_batch", "potential_batch"):
+    for name in ("evaluate", "potential"):
         def logged(thetas, *args, _method=getattr(backend, name), _name=name):
             before = [c["n"] for c in counts.values()]
             try:
@@ -219,8 +219,8 @@ def test_sampler_guards_each_stack_once(uniform4_8, monkeypatch):
     kinds = [(name, again) for (name, _, _), again in zip(calls, repeated)]
     # every reference merit repeats its evaluation's stack, as some
     # evaluations at the accepted trial's particles do
-    assert kinds.count(("potential_batch", True)) == len(log.records) > 0
-    assert kinds.count(("evaluate_batch", True)) > 0
+    assert kinds.count(("potential", True)) == len(log.records) > 0
+    assert kinds.count(("evaluate", True)) > 0
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from svrb import hifi
 from svrb.adaptive import AdaptiveConfig, run_svrb
 from svrb.backends import GaussianBackend, HiFiBackend
 from svrb.cases import StandardGaussian, UniformBox
@@ -168,13 +170,13 @@ class TestLineSearch:
     def test_zero_direction_accepts_initial(self):
         backend = GaussianBackend(np.zeros(1))
         alpha, exhausted, n_evals = line_search(
-            np.array([[1.0]]), np.zeros((1, 1)), backend.potential_batch, None, 0.7)
+            np.array([[1.0]]), np.zeros((1, 1)), backend.potential, None, 0.7)
         assert (alpha, exhausted, n_evals) == (0.7, False, 0)
 
     def test_quadratic_accepts_unit_step(self):
         backend = GaussianBackend(np.zeros(1))
         alpha, exhausted, _ = line_search(
-            np.array([[1.0]]), np.array([[-1.0]]), backend.potential_batch, None, 1.0)
+            np.array([[1.0]]), np.array([[-1.0]]), backend.potential, None, 1.0)
         assert alpha == 1.0 and not exhausted
 
     def test_uphill_direction_exhausts(self):
@@ -220,8 +222,10 @@ class TestLineSearch:
             line_search(np.zeros((2, 1)), np.ones((2, 1)), failing, None, 1.0)
 
 
-class TableBackend(HiFiBackend):
-    """High-fidelity batching over a table of potentials instead of solves.
+class TableProblem:
+    """A problem whose potentials come from a table instead of solves, so
+    that :class:`HiFiBackend`'s own row loop runs on them under
+    :func:`table_potential`; every stack is coercive.
 
     The line search below runs on particles ``[i, 0]`` along ``[0, 1]`` from
     ``alpha = 1``, so row ``i`` of a stack at ``[i, 2**-k]`` is particle
@@ -229,12 +233,15 @@ class TableBackend(HiFiBackend):
     """
 
     def __init__(self, table):
-        super().__init__(problem=None)
         self.table = table
 
-    def potential(self, theta):
-        self.n_evaluations += 1
-        return self.table[_call(theta)][int(theta[0])]
+    def check_coercive(self, thetas):
+        pass
+
+
+def table_potential(problem, theta):
+    """Stands in for :func:`svrb.hifi.potential` on a :class:`TableProblem`."""
+    return problem.table[_call(theta)][int(theta[0])], None
 
 
 def _call(theta):
@@ -286,12 +293,13 @@ class TestEarlyRejection:
         particles = np.column_stack([np.arange(m, dtype=float), np.zeros(m)])
         direction = np.column_stack([np.zeros(m), np.ones(m)])
         prior = TablePrior(neglogs)
-        honoured, ignored = TableBackend(etas), TableBackend(etas)
-        stopped = line_search(particles, direction, honoured.potential_batch, prior,
-                              1.0, trials)
-        full = line_search(particles, direction,
-                           lambda thetas, budget: ignored.potential_batch(thetas),
-                           prior, 1.0, trials)
+        honoured, ignored = HiFiBackend(TableProblem(etas)), HiFiBackend(TableProblem(etas))
+        with mock.patch.object(hifi, "potential", table_potential):
+            stopped = line_search(particles, direction, honoured.potential, prior,
+                                  1.0, trials)
+            full = line_search(particles, direction,
+                               lambda thetas, budget: ignored.potential(thetas),
+                               prior, 1.0, trials)
         assert stopped[:2] == full[:2]
         assert honoured.n_evaluations <= ignored.n_evaluations
 
@@ -300,8 +308,8 @@ class TestEarlyRejection:
         import scipy.sparse.linalg as spla
 
         class IgnoresBudget(HiFiBackend):
-            def potential_batch(self, thetas, budget=np.inf):
-                return super().potential_batch(thetas)
+            def potential(self, thetas, budget=np.inf):
+                return super().potential(thetas)
 
         splu, calls = spla.splu, []
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
@@ -421,7 +429,7 @@ class TestWarmStart:
         _, log, searches = self.traced_run(backend, prior, cfg)
         self.check_starts(cfg, log, searches)
         self.assert_no_repeated_trial(searches)
-        merits = [np.mean(backend.potential_batch(p) + prior.neglog(p))
+        merits = [np.mean(backend.potential(p) + prior.neglog(p))
                   for _, p, _ in log.snapshots]
         assert searches[0][2]  # 16.0 and 8.0 overshoot
         assert searches[1][0] == 16.0 * 2.0**-2 and not searches[1][2]
@@ -434,7 +442,7 @@ class TestWarmStart:
         cfg, prior = self.EXHAUSTING, StandardGaussian(2)
         backend = GaussianBackend(np.array([1.0, -0.5]))
         _, log = svgd_run(backend, prior, cfg)
-        merits = [np.mean(backend.potential_batch(p) + prior.neglog(p))
+        merits = [np.mean(backend.potential(p) + prior.neglog(p))
                   for _, p, _ in log.snapshots]
         exhausted = [i for i, r in enumerate(log.records) if "line_search_exhausted" in r.flags]
         assert exhausted[:2] == [2, 3]
@@ -571,3 +579,26 @@ class TestRun:
         assert len(log.records) == ens.iteration
         assert [r.l for r in log.records] == list(range(ens.iteration))
         assert len(log.snapshots) == ens.iteration + 1
+
+    @pytest.mark.parametrize("where", ["potential", "gradient"])
+    def test_non_finite_backend_values_abort(self, where):
+        class NonFinite(GaussianBackend):
+            """Gaussian values, but the second stack it evaluates (iteration
+            1) gets a NaN potential or gradient at row 2."""
+
+            calls = 0
+
+            def evaluate(self, thetas):
+                etas, grads = super().evaluate(thetas)
+                self.calls += 1
+                if self.calls == 2:
+                    (etas if where == "potential" else grads[:, 1])[2] = np.nan
+                return etas, grads
+
+            def potential(self, thetas, budget=np.inf):
+                return GaussianBackend.evaluate(self, thetas)[0]
+
+        cfg = SVGDConfig(n_particles=4, max_steps=5, tol=1e-12, seed=0)
+        with pytest.raises(NumericalAbort,
+                           match="non-finite values at particle 2 of iteration 1$"):
+            svgd_run(NonFinite(np.zeros(2)), StandardGaussian(2), cfg)
